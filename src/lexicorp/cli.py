@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import dictionary, ingest, lexstats, listcompare
-from .config import PipelineConfig, default_config, dump_config, load_config
+from .config import InputError, PipelineConfig, default_config, dump_config, load_config
 from .dictionary import DictionaryFormatError
 from .manifest import RunManifest, file_digest
 from .pipeline import process_document
@@ -107,16 +107,19 @@ def cmd_build(corpus_path, config_dir, out_path):
     corpus_id = file_digest(corpus_path)[:12]
 
     records = _read_corpus_docs(corpus_path)
-    token_lists = []
     empty_docs = []
-    for i, r in enumerate(records, 1):
-        tokens = process_document(r.abstract, cfg)
-        if not tokens:
-            empty_docs.append((i, r.title))
-            continue
-        token_lists.append((f"doc{i}", tokens))
 
-    d = dictionary.build(token_lists, corpus_id=corpus_id, config_hash=cfg.config_hash())
+    def token_lists():
+        for i, r in enumerate(records, 1):
+            tokens = process_document(r.abstract, cfg)
+            if tokens:
+                yield f"doc{i}", tokens
+            else:
+                empty_docs.append((i, r.title))
+        # Free the abstracts before build turns its counts into entries.
+        records.clear()
+
+    d = dictionary.build(token_lists(), corpus_id=corpus_id, config_hash=cfg.config_hash())
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     dictionary.save(d, out)
@@ -173,7 +176,7 @@ def cmd_stats(dict_path, fit_range, out_dir):
     manifest.add_input(dict_path)
     d = dictionary.load(dict_path)
     if not len(d):
-        raise ValueError("empty dictionary")
+        raise InputError("empty dictionary")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -402,7 +405,7 @@ def main(argv=None) -> int:
     except click.Abort:
         return 1
     except (FileNotFoundError, IsADirectoryError, PermissionError,
-            UnicodeDecodeError, DictionaryFormatError) as e:
+            UnicodeDecodeError, InputError) as e:
         click.echo(f"input error: {e}", err=True)
         return 2
     except (ValueError, ArithmeticError) as e:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import tables
 
+# The fixed order of the pipeline steps, hashed into config_hash().
 CANONICAL_STEP_ORDER = (
     "strip_punctuation",
     "lowercase",
@@ -25,10 +26,11 @@ CANONICAL_STEP_ORDER = (
     "remove_stopwords",
 )
 
-_TEXT_STEPS = CANONICAL_STEP_ORDER[:6]
-_TOKEN_STEPS = CANONICAL_STEP_ORDER[6:]
-
 CONFIG_DIR_ENV = "LEXICORP_CONFIG_DIR"
+
+class InputError(ValueError):
+    """An input file that is readable but unusable (CLI exit code 2)."""
+
 
 CONFIG_FILES = {
     "prefixes": "prefixes.txt",
@@ -49,28 +51,22 @@ class PipelineConfig:
     min_len: int = 30
     max_len: int = 500
     prune_threshold: int = 10
-    step_order: tuple[str, ...] = CANONICAL_STEP_ORDER
 
     def __post_init__(self):
         if not self.prefixes:
             raise ValueError("prefix table must not be empty")
+        # Prefixes and substitution keys apply within one token.
         for p in self.prefixes:
-            if p != p.lower():
-                raise ValueError(f"prefix not lowercase: {p!r}")
+            if p != p.lower() or any(map(str.isspace, p)):
+                raise ValueError(f"prefix not lowercase or with whitespace: {p!r}")
         for key, _ in self.substitutions:
-            if "-" not in key:
-                raise ValueError(f"substitution key without '-': {key!r}")
+            if "-" not in key or any(map(str.isspace, key)):
+                raise ValueError(f"substitution key without '-' or with whitespace: {key!r}")
         for w in self.stop_words:
             if w != w.lower():
                 raise ValueError(f"stop word not lowercase: {w!r}")
         if self.min_len > self.max_len:
             raise ValueError("min_len must not exceed max_len")
-        if sorted(self.step_order) != sorted(CANONICAL_STEP_ORDER):
-            raise ValueError("step_order must be a permutation of the 8 steps")
-        text_pos = [self.step_order.index(s) for s in _TEXT_STEPS]
-        token_pos = [self.step_order.index(s) for s in _TOKEN_STEPS]
-        if max(text_pos) > min(token_pos):
-            raise ValueError("token-level steps must come after text-level steps")
 
     @property
     def heading_forms(self) -> tuple[str, ...]:
@@ -87,7 +83,7 @@ class PipelineConfig:
         h.update(b"\x00headings\x00" + "\n".join(sorted(self.headings)).encode())
         h.update(f"\x00bounds\x00{self.min_len}\x00{self.max_len}".encode())
         h.update(f"\x00threshold\x00{self.prune_threshold}".encode())
-        h.update(b"\x00steps\x00" + "\n".join(self.step_order).encode())
+        h.update(b"\x00steps\x00" + "\n".join(CANONICAL_STEP_ORDER).encode())
         return h.hexdigest()[:12]
 
 
@@ -116,8 +112,9 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
 
     Missing files fall back to the built-in tables; `directory=None`
     consults the LEXICORP_CONFIG_DIR environment variable and finally the
-    defaults. Keyword overrides (min_len, max_len, prune_threshold,
-    step_order) are applied on top.
+    defaults. Keyword overrides (min_len, max_len, prune_threshold) are
+    applied on top. The order of the pipeline steps is fixed
+    (CANONICAL_STEP_ORDER); steps 3-8 run once per distinct token.
     """
     if directory is None:
         directory = os.environ.get(CONFIG_DIR_ENV)

@@ -14,8 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable
 
+from .config import InputError
 
-class DictionaryFormatError(ValueError):
+
+class DictionaryFormatError(InputError):
     """A dictionary file that cannot be parsed; carries the line number."""
 
     def __init__(self, line_no: int, message: str):
@@ -91,8 +93,12 @@ def merge(a: Dictionary, b: Dictionary) -> Dictionary:
     """Combine dictionaries built from disjoint document sets.
 
     Counts are summed per word, so merge(build(X), build(Y)) equals
-    build(X + Y) whenever X and Y share no documents.
+    build(X + Y) whenever X and Y share no documents. Dictionaries built
+    under different configs count different things and are refused.
     """
+    if a.provenance.config_hash != b.provenance.config_hash:
+        raise ValueError(f"cannot merge dictionaries of configs "
+                         f"{a.provenance.config_hash!r} and {b.provenance.config_hash!r}")
     doc_counts: Counter = Counter()
     corpus_counts: Counter = Counter()
     for d in (a, b):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import IO, Iterable
 
-from .config import PipelineConfig, default_config
+from .config import InputError, PipelineConfig, default_config
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +114,7 @@ def _resolve_header(cells: list[str]) -> dict[str, int]:
             mapping[name] = i
     missing = [f for f in FIELD_ORDER if f not in mapping]
     if missing:
-        raise ValueError(f"header is missing required columns: {', '.join(missing)}")
+        raise InputError(f"header is missing required columns: {', '.join(missing)}")
     return mapping
 
 
@@ -139,7 +139,8 @@ def parse_records(
     for line_no, line in enumerate(stream, 1):
         line = line.rstrip("\n").rstrip("\r")
         if line_no == 1 and fmt.header and columns is None:
-            cells = line.split(fmt.delimiter)
+            # Windows tools often start UTF-8 exports with a byte-order mark.
+            cells = line.removeprefix("\ufeff").split(fmt.delimiter)
             columns = _resolve_header(cells)
             expected = len(cells)
             continue

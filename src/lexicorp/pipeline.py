@@ -1,15 +1,17 @@
 """The eight-step transformation from a raw abstract to stemmed tokens.
 
-Step order (canonical): punctuation removal, lowercasing, prefix
+The step order is fixed: punctuation removal, lowercasing, prefix
 uniting, whole-token substitutions, hyphen removal, number removal,
-stemming, stop-word removal. All functions are pure; text-level steps
-preserve the whitespace structure they do not explicitly rewrite.
+stemming, stop-word removal. Steps 1-2 run on the whole text, which is
+then split on whitespace; no later step looks across whitespace, so
+steps 3-8 run once per distinct token and config, memoised.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 
 from .config import PipelineConfig, default_config
 from .stemmer import stem
@@ -18,12 +20,17 @@ from .stemmer import stem
 # \w would admit "_", so it is excluded explicitly.
 _PUNCT_RE = re.compile(r"[^\w\-]|_")
 
+# The same mapping for ASCII text, where str.translate beats the regex.
+_ASCII_PUNCT = {c: " " for c in range(128) if _PUNCT_RE.match(chr(c))}
+
 # A maximal run of digits standing alone as a token.
 _PURE_NUMBER_RE = re.compile(r"(?<!\S)\d+(?!\S)")
 
 
 def strip_punctuation(text: str) -> str:
     """Replace each non-alphanumeric character other than "-" by a space."""
+    if text.isascii():
+        return text.translate(_ASCII_PUNCT)
     return _PUNCT_RE.sub(" ", text)
 
 
@@ -32,11 +39,11 @@ def lowercase(text: str) -> str:
 
 
 @lru_cache(maxsize=16)
-def _prefix_re(prefixes: tuple[str, ...]) -> re.Pattern:
+def _uniter(prefixes: tuple[str, ...]):
     alternation = "|".join(re.escape(p) for p in prefixes)
     # token must start with the prefix and the hyphen must be followed
     # by at least one word character
-    return re.compile(rf"(?<![\w\-])({alternation})-(?=\w)")
+    return partial(re.compile(rf"(?<![\w\-])({alternation})-(?=\w)").sub, r"\1")
 
 
 def unite_prefixes(text: str, prefixes) -> str:
@@ -46,21 +53,21 @@ def unite_prefixes(text: str, prefixes) -> str:
     must equal a prefix exactly ("anti-viral" joins, "well-known" does
     not). Text must already be lowercased.
     """
-    return _prefix_re(tuple(prefixes)).sub(r"\1", text)
+    return _uniter(tuple(prefixes))(text)
 
 
 @lru_cache(maxsize=16)
-def _subs_re(substitutions: tuple[tuple[str, str], ...]) -> re.Pattern:
+def _substituter(substitutions: tuple[tuple[str, str], ...]):
+    mapping = dict(substitutions)
     keys = sorted((k for k, _ in substitutions), key=len, reverse=True)
     alternation = "|".join(re.escape(k) for k in keys)
-    return re.compile(rf"(?<![\w\-])({alternation})(?![\w\-])")
+    pattern = re.compile(rf"(?<![\w\-])({alternation})(?![\w\-])")
+    return partial(pattern.sub, lambda m: mapping[m.group(1)])
 
 
 def apply_substitutions(text: str, substitutions) -> str:
     """Replace whole-token occurrences of the substitution keys."""
-    substitutions = tuple(substitutions)
-    mapping = dict(substitutions)
-    return _subs_re(substitutions).sub(lambda m: mapping[m.group(1)], text)
+    return _substituter(tuple(substitutions))(text)
 
 
 def strip_hyphens(text: str) -> str:
@@ -80,42 +87,44 @@ def remove_stopwords(tokens, stop_set) -> list[str]:
     return [t for t in tokens if t not in stop_set]
 
 
-@lru_cache(maxsize=16)
-def _processed_stop_set(config: PipelineConfig) -> frozenset[str]:
-    """The stop list pushed through the text steps and the stemmer.
+class _TokenMemo(dict):
+    """Lowercased token -> its tokens after steps 3-8; misses fill it."""
 
-    Entries that survive as a single token contribute their stemmed
-    form; entries that the pipeline splits apart (contractions such as
-    "i'm") can never match a single token and are dropped.
-    """
-    out = set()
-    for word in config.stop_words:
-        toks = _text_steps_and_tokens(word, config)
-        if len(toks) == 1:
-            out.add(stem(toks[0]))
-    return frozenset(out)
+    def __init__(self, config: PipelineConfig):
+        super().__init__()
+        self._unite = _uniter(tuple(config.prefixes))
+        self._substitute = _substituter(tuple(config.substitutions))
+        # The stop list through steps 1-7; an entry that splits apart
+        # ("i'm") can never match a single token and is dropped.
+        stop = set()
+        for word in config.stop_words:
+            toks = [t for w in tokenize(lowercase(strip_punctuation(word)))
+                    for t in self._text_steps(w)]
+            if len(toks) == 1:
+                stop.add(stem(toks[0]))
+        self.stop_set = frozenset(stop)
+
+    def _text_steps(self, token: str) -> list[str]:
+        text = self._substitute(self._unite(token))
+        return tokenize(strip_numbers(strip_hyphens(text)))
+
+    def __missing__(self, token: str) -> tuple[str, ...]:
+        out = self[token] = tuple(remove_stopwords(map(stem, self._text_steps(token)),
+                                                   self.stop_set))
+        return out
+
+
+def _token_memo(config: PipelineConfig) -> _TokenMemo:
+    # Kept on the config, as a cache keyed by it would hash every table.
+    memo = vars(config).get("_token_memo")
+    if memo is None:
+        memo = _TokenMemo(config)
+        object.__setattr__(config, "_token_memo", memo)
+    return memo
 
 
 def processed_stop_set(config: PipelineConfig | None = None) -> frozenset[str]:
-    return _processed_stop_set(config or default_config())
-
-
-_TEXT_STEP_FUNCS = {
-    "strip_punctuation": lambda text, cfg: strip_punctuation(text),
-    "lowercase": lambda text, cfg: lowercase(text),
-    "unite_prefixes": lambda text, cfg: unite_prefixes(text, cfg.prefixes),
-    "apply_substitutions": lambda text, cfg: apply_substitutions(text, cfg.substitutions),
-    "strip_hyphens": lambda text, cfg: strip_hyphens(text),
-    "strip_numbers": lambda text, cfg: strip_numbers(text),
-}
-
-
-def _text_steps_and_tokens(text: str, config: PipelineConfig) -> list[str]:
-    for step in config.step_order:
-        func = _TEXT_STEP_FUNCS.get(step)
-        if func is not None:
-            text = func(text, config)
-    return tokenize(text)
+    return _token_memo(config or default_config()).stop_set
 
 
 def process_document(abstract: str, config: PipelineConfig | None = None) -> list[str]:
@@ -124,12 +133,6 @@ def process_document(abstract: str, config: PipelineConfig | None = None) -> lis
     The result is deterministic in (abstract, config); an empty result is
     legal and left for the caller to flag.
     """
-    config = config or default_config()
-    tokens = _text_steps_and_tokens(abstract, config)
-    stop_set = _processed_stop_set(config)
-    for step in config.step_order:
-        if step == "stem":
-            tokens = [stem(t) for t in tokens]
-        elif step == "remove_stopwords":
-            tokens = remove_stopwords(tokens, stop_set)
-    return tokens
+    memo = _token_memo(config or default_config())
+    tokens = tokenize(lowercase(strip_punctuation(abstract)))
+    return list(chain.from_iterable(map(memo.__getitem__, tokens)))

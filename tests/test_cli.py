@@ -48,6 +48,22 @@ class TestIngest:
         rc = main(["ingest", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_bom_crlf_export_matches_plain(self, export_file, tmp_path):
+        bom = tmp_path / "bom.tsv"
+        text = export_file.read_text(encoding="utf-8").replace("\n", "\r\n")
+        bom.write_bytes(("\ufeff" + text).encode("utf-8"))
+        assert main(["ingest", str(export_file), "--out", str(tmp_path / "plain")]) == 0
+        assert main(["ingest", str(bom), "--out", str(tmp_path / "bom")]) == 0
+        assert ((tmp_path / "bom" / "corpus.tsv").read_bytes()
+                == (tmp_path / "plain" / "corpus.tsv").read_bytes())
+
+    @pytest.mark.parametrize("header", ["AU\tTI\tAB\tWC\tSC\tZ9", "X\tY\tZ\tW\tV\tU\tT"])
+    def test_bad_header_is_input_error(self, tmp_path, header, capsys):
+        src = tmp_path / "bad.tsv"
+        src.write_text(header + "\n", encoding="utf-8")
+        assert main(["ingest", str(src), "--out", str(tmp_path / "o")]) == 2
+        assert "missing required columns" in capsys.readouterr().err
+
     def test_malformed_rows_warn_but_succeed(self, tmp_path, capsys):
         src = tmp_path / "rows.tsv"
         src.write_text(
@@ -195,6 +211,11 @@ class TestStats:
         assert tail_lines[3].startswith("3,0")
         # only 2 positive tail points: fit reports unavailable
         assert "unavailable" in read(out / "pareto_fit.txt")
+
+    def test_empty_dictionary_is_input_error(self, tmp_path):
+        dict_path = tmp_path / "d.tsv"
+        dct.save(dct.Dictionary([]), dict_path)
+        assert main(["stats", str(dict_path), "--out", str(tmp_path / "s")]) == 2
 
 
 class TestCompare:

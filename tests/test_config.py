@@ -70,3 +70,8 @@ def test_hash_changes_with_content(tmp_path):
 def test_overrides_apply(tmp_path):
     cfg = load_config(None, min_len=5, max_len=50, prune_threshold=3)
     assert (cfg.min_len, cfg.max_len, cfg.prune_threshold) == (5, 50, 3)
+
+
+def test_default_hash_is_pinned():
+    # Dictionary headers carry this hash; it must not drift.
+    assert default_config().config_hash() == "29990439226b"

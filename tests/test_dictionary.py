@@ -168,3 +168,12 @@ def test_serialize_round_trip_property(token_lists):
     buf = io.StringIO()
     dct.serialize(d, buf)
     assert dct.deserialize(io.StringIO(buf.getvalue())) == d
+
+
+def test_merge_refuses_different_configs():
+    a = dct.build([("d1", ["x"])], config_hash="aaa")
+    b = dct.build([("d2", ["x"])], config_hash="bbb")
+    with pytest.raises(ValueError, match="cannot merge"):
+        dct.merge(a, b)
+    assert dct.merge(a, dct.build([("d2", ["x"])], config_hash="aaa")).entries == [
+        DictEntry("x", 2, 2)]

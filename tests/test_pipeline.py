@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pipeline_reference as ref
 from lexicorp import pipeline as pl
 from lexicorp import tables
-from lexicorp.config import CANONICAL_STEP_ORDER, PipelineConfig, default_config
+from lexicorp.config import PipelineConfig, default_config, dump_config, load_config
 
 CFG = default_config()
 
@@ -152,14 +153,6 @@ class TestProcessDocument:
         text = "Measurements of co2 in well-known z-tests, 2014-2015."
         assert pl.process_document(text) == pl.process_document(text)
 
-    def test_step_order_sensitivity(self):
-        assert pl.process_document("a z-test case")[:1] == ["ztest"]
-        order = list(CANONICAL_STEP_ORDER)
-        i, j = order.index("apply_substitutions"), order.index("strip_hyphens")
-        order[i], order[j] = order[j], order[i]
-        swapped = PipelineConfig(step_order=tuple(order))
-        assert pl.process_document("a z-test case", swapped)[:2] == ["z", "test"]
-
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=200))
@@ -204,6 +197,78 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(stop_words=("The",))
     with pytest.raises(ValueError):
-        PipelineConfig(step_order=("lowercase",) * 8)
+        PipelineConfig(prefixes=("anti", "ex post"))
+    with pytest.raises(ValueError):
+        PipelineConfig(substitutions=(("p value-x", "pvalue"),))
     with pytest.raises(ValueError):
         PipelineConfig(min_len=10, max_len=5)
+
+
+# Differential tests against the whole-text pipeline in pipeline_reference.
+
+def test_processed_stop_set_matches_reference():
+    assert pl.processed_stop_set(CFG) == ref.processed_stop_set(CFG)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(max_size=300))
+def test_matches_reference_on_any_text(text):
+    assert pl.process_document(text) == ref.process_document(text)
+
+
+# Characters whose case mapping, category or whitespace status differs
+# between str.lower(), str.split(), the \w class and str.isascii(), and
+# every rule-table entry, so that prefixes and substitutions fire.
+_CHARS = [
+    "İ", "Σ", "ς", "’", "\u0301", ".", "ﬁ", "\x1c", "\x85", "\u3000", "²",
+    "\u0661", "\u0662", "_", "-", "--", " ", "\t", "\n", "\r\n", "'", ",",
+    "a", "E", "s", "x", "0", "7", "42", "the", "Does", "I'm",
+]
+_RULES = ["giga-", "mega-watt"] + [p + "-" for p in tables.PREFIXES] + [
+    k for k, _ in tables.SUBSTITUTIONS]
+_RULES += [r.upper() for r in _RULES]
+TRICKY_TEXT = st.lists(st.one_of(st.sampled_from(_CHARS), st.sampled_from(_RULES)),
+                       max_size=40).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TRICKY_TEXT)
+def test_matches_reference_on_tricky_text(text):
+    assert pl.process_document(text) == ref.process_document(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(TRICKY_TEXT, st.text(max_size=80)), max_size=8), st.randoms())
+def test_memo_hits_match_reference(docs, rnd):
+    cfg = PipelineConfig()  # a fresh object, so its memo starts empty
+    shuffled = list(docs)
+    rnd.shuffle(shuffled)
+    for doc in docs + docs + shuffled:
+        assert pl.process_document(doc, cfg) == ref.process_document(doc, cfg)
+
+
+@pytest.fixture(scope="module")
+def custom_config(tmp_path_factory):
+    """The defaults plus one prefix and one substitution, as files."""
+    d = tmp_path_factory.mktemp("cfg")
+    dump_config(CFG, d)
+    with open(d / "prefixes.txt", "a", encoding="utf-8") as f:
+        f.write("giga\n")
+    with open(d / "substitutions.tsv", "a", encoding="utf-8") as f:
+        f.write("mega-watt\tmegawatt\n")
+    return load_config(d)
+
+
+def test_memo_is_per_config(custom_config):
+    text = "Giga-watt and mega-watt anti-viral"
+    for _ in range(2):
+        assert pl.process_document(text, custom_config) == ["gigawatt", "megawatt", "antivir"]
+        assert pl.process_document(text) == ["giga", "watt", "mega", "watt", "antivir"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TRICKY_TEXT, max_size=4))
+def test_custom_config_matches_reference(custom_config, docs):
+    for doc in docs:
+        assert pl.process_document(doc, custom_config) == ref.process_document(doc, custom_config)
+        assert pl.process_document(doc) == ref.process_document(doc)
