@@ -255,7 +255,7 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     with open(wordlist_path, encoding="utf-8") as f:
         raw_list = listcompare.read_word_list(f)
     if not len(raw_list):
-        raise ValueError("empty word list")
+        raise InputError("empty word list")
     stemmed = listcompare.stem_merge(raw_list)
     report = listcompare.compare(
         d, stemmed,

@@ -9,6 +9,8 @@ once toward its document count.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -119,25 +121,6 @@ def prune(d: Dictionary, threshold: int) -> Dictionary:
     return Dictionary(entries, prov)
 
 
-def min_unique_words_check(
-    token_lists: Iterable[tuple[str, list[str]]],
-    d: Dictionary,
-    k: int,
-) -> list[tuple[str, int]]:
-    """Documents with fewer than `k` distinct in-dictionary words.
-
-    Returns (doc_id, n_unique) pairs; an empty list means every document
-    clears the bar.
-    """
-    vocab = set(d.ranks())
-    flagged = []
-    for doc_id, tokens in token_lists:
-        n_unique = len(set(tokens) & vocab)
-        if n_unique < k:
-            flagged.append((doc_id, n_unique))
-    return flagged
-
-
 _HEADER_RE = re.compile(
     r"#lexicorp-dict v1 threshold=(\d+) config=(\S*)(?: corpus=(\S*))?\s*$"
 )
@@ -196,5 +179,14 @@ def load(path) -> Dictionary:
 
 
 def save(d: Dictionary, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        serialize(d, f)
+    """Write `d` to `path` through a temporary file in the same directory,
+    so a write that fails part-way leaves any previous file intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            serialize(d, f)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

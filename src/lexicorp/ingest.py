@@ -91,21 +91,6 @@ class ParseError:
     reason: str
 
 
-@dataclass(frozen=True)
-class RecordFormat:
-    """How to map export columns onto record fields.
-
-    With `header=True` the first line names the columns (WoS field tags
-    or full names are both accepted). Otherwise `columns` gives explicit
-    0-based indices per field.
-    """
-
-    header: bool = True
-    columns: tuple[tuple[str, int], ...] | None = None
-    delimiter: str = "\t"
-    list_separator: str = ";"
-
-
 def _resolve_header(cells: list[str]) -> dict[str, int]:
     mapping = {}
     for i, cell in enumerate(cells):
@@ -118,37 +103,30 @@ def _resolve_header(cells: list[str]) -> dict[str, int]:
     return mapping
 
 
-def parse_records(
-    stream: Iterable[str] | IO[str],
-    fmt: RecordFormat | None = None,
-) -> tuple[list[RawRecord], list[ParseError]]:
+def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], list[ParseError]]:
     """Parse a tab-delimited export into records plus an error ledger.
 
-    Malformed lines (wrong column count, unparsable citation counts) are
-    skipped and reported with their 1-based line number; they are never
-    dropped silently.
+    Line 1 is the header naming the columns (WoS field tags or full
+    names). Malformed lines (wrong column count, unparsable citation
+    counts) are skipped and reported with their 1-based line number;
+    they are never dropped silently.
     """
-    fmt = fmt or RecordFormat()
     records: list[RawRecord] = []
     errors: list[ParseError] = []
-    columns: dict[str, int] | None = dict(fmt.columns) if fmt.columns else None
-    expected = None
-    if columns is not None:
-        expected = max(columns.values()) + 1
+    lines = enumerate(stream, 1)
+    first = next(lines, None)
+    if first is None:
+        raise InputError("no header row")
+    # Windows tools often start UTF-8 exports with a byte-order mark.
+    cells = first[1].rstrip("\n").rstrip("\r").removeprefix("\ufeff").split("\t")
+    columns = _resolve_header(cells)
+    expected = len(cells)
 
-    for line_no, line in enumerate(stream, 1):
+    for line_no, line in lines:
         line = line.rstrip("\n").rstrip("\r")
-        if line_no == 1 and fmt.header and columns is None:
-            # Windows tools often start UTF-8 exports with a byte-order mark.
-            cells = line.removeprefix("\ufeff").split(fmt.delimiter)
-            columns = _resolve_header(cells)
-            expected = len(cells)
-            continue
-        if columns is None:
-            raise ValueError("no header row and no explicit column mapping given")
         if not line.strip():
             continue
-        cells = line.split(fmt.delimiter)
+        cells = line.split("\t")
         if len(cells) != expected:
             errors.append(ParseError(line_no, f"expected {expected} columns, got {len(cells)}"))
             continue
@@ -157,7 +135,7 @@ def parse_records(
         for name, idx in columns.items():
             value = cells[idx].strip()
             if name in _LIST_FIELDS:
-                items = [v.strip() for v in value.split(fmt.list_separator)]
+                items = [v.strip() for v in value.split(";")]
                 kwargs[name] = [v for v in items if v]
             elif name in _INT_FIELDS:
                 try:
@@ -235,11 +213,10 @@ def length_histogram(docs: list[Document]) -> tuple[dict[int, int], float | None
 def run_ingest(
     stream: Iterable[str] | IO[str],
     config: PipelineConfig | None = None,
-    fmt: RecordFormat | None = None,
 ) -> tuple[list[Document], IngestReport, list[ParseError]]:
     """Full cleaning pass: parse, field-filter, split headings, length-filter."""
     config = config or default_config()
-    records, errors = parse_records(stream, fmt)
+    records, errors = parse_records(stream)
     report = IngestReport(n_parsed=len(records))
 
     valid = filter_invalid(records)
@@ -263,9 +240,9 @@ def run_ingest(
     return docs, report, errors
 
 
-def format_record(record: RawRecord, fmt: RecordFormat | None = None) -> str:
+def format_record(record: RawRecord) -> str:
     """One canonical corpus line (7 tab-separated columns)."""
-    sep = (fmt.list_separator if fmt else ";") + " "
+    sep = "; "
     cells = [
         sep.join(record.authors),
         record.title,

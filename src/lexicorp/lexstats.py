@@ -3,9 +3,9 @@
 The central objects are the exact histogram (how many words sit in
 exactly n documents), its cumulative form g(n), and the tail curve
 N_x = W - g(x), the number of words appearing in more than x documents.
-The tail is modelled as N_x = beta / x**alpha; parameters are found by
-least squares on the raw counts, seeded from a log-log line fit and
-polished with a derivative-free simplex search.
+The tail is modelled as N_x = beta / x**alpha and fitted by least
+squares on the raw counts. For a given alpha the best beta has a closed
+form, so the fit is a golden-section search over alpha alone.
 """
 
 from __future__ import annotations
@@ -66,31 +66,6 @@ def tail(hist: DocFreqHistogram) -> TailCurve:
     return TailCurve(tuple(points))
 
 
-def pareto_tail(x, x_m: float, alpha: float):
-    """P(X > x) for a Pareto(x_m, alpha) variable."""
-    if x_m <= 0 or alpha <= 0:
-        raise ValueError("x_m and alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= x_m, (x_m / np.maximum(x, x_m)) ** alpha, 1.0)
-    return out if out.ndim else float(out)
-
-
-def pareto_cdf(x, x_m: float, alpha: float):
-    if x_m <= 0 or alpha <= 0:
-        raise ValueError("x_m and alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= x_m, 1.0 - (x_m / np.maximum(x, x_m)) ** alpha, 0.0)
-    return out if out.ndim else float(out)
-
-
-def pareto_pdf(x, x_m: float, alpha: float):
-    if x_m <= 0 or alpha <= 0:
-        raise ValueError("x_m and alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= x_m, alpha * x_m**alpha / np.maximum(x, x_m) ** (alpha + 1), 0.0)
-    return out if out.ndim else float(out)
-
-
 def _usable_points(curve: TailCurve, fit_range=None) -> tuple[np.ndarray, np.ndarray]:
     pts = [(x, n) for x, n in curve.points if n > 0]
     if fit_range is not None:
@@ -110,53 +85,12 @@ def loglog_slope(curve: TailCurve, fit_range=None) -> float:
     return float(slope)
 
 
-def _mse(params: np.ndarray, xs: np.ndarray, ns: np.ndarray) -> float:
-    alpha, beta = params
-    return float(np.mean((ns - beta / xs**alpha) ** 2))
-
-
-def _nelder_mead(f, x0, rel_tol=1e-9, max_iter=10_000):
-    """Minimise f over R^2 until the relative improvement per iteration
-    drops below rel_tol; returns (x_best, f_best)."""
-    n = len(x0)
-    scale = np.where(np.abs(x0) > 1e-12, np.abs(x0) * 0.05, 0.00025)
-    simplex = [np.asarray(x0, dtype=float)]
-    for i in range(n):
-        v = simplex[0].copy()
-        v[i] += scale[i]
-        simplex.append(v)
-    values = [f(v) for v in simplex]
-
-    for _ in range(max_iter):
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        best, worst = values[0], values[-1]
-        if best <= 0 or (worst - best) / max(best, 1e-300) < rel_tol:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = f(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = f(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_c = f(contracted)
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-    i_best = int(np.argmin(values))
-    return simplex[i_best], values[i_best]
+# Bracket of the alpha search. Below 0: for a non-increasing tail,
+# dMSE/dalpha at alpha = 0 is a positive factor times cov(n, ln x) <= 0,
+# so the minimum cannot lie below 0. Above 10: every tail fitted in the
+# tests and the benchmark has alpha between 0.3 and 1.0.
+_ALPHA_BRACKET = (0.0, 10.0)
+_INV_PHI = (5**0.5 - 1) / 2
 
 
 def fit_pareto(curve: TailCurve, fit_range=None) -> ParetoFit:
@@ -164,26 +98,42 @@ def fit_pareto(curve: TailCurve, fit_range=None) -> ParetoFit:
 
     Points with non-positive N_x are excluded; the fit minimises the
     mean squared error on the raw count scale over the (possibly
-    restricted) range. Raises ValueError when fewer than 3 usable points
-    remain.
+    restricted) range. For fixed alpha the best beta has a closed form
+    (variable projection), so only alpha is searched, by golden section.
+    Raises ValueError when fewer than 3 usable points remain or when the
+    best alpha lies on an edge of the search bracket.
     """
     xs, ns = _usable_points(curve, fit_range)
     if len(xs) < 3:
         raise ValueError("insufficient tail data: need at least 3 positive points")
 
-    slope, intercept = np.polyfit(np.log(xs), np.log(ns), 1)
-    alpha0, beta0 = -slope, float(np.exp(intercept))
+    def beta_mse(alpha: float) -> tuple[float, float]:
+        u = xs**-alpha
+        beta = float(ns @ u / (u @ u))
+        return beta, float(np.mean((ns - beta * u) ** 2))
 
-    params, mse = _nelder_mead(lambda p: _mse(p, xs, ns), np.array([alpha0, beta0]))
-    # keep whichever of seed and polish explains the data better
-    if _mse(np.array([alpha0, beta0]), xs, ns) < mse:
-        params, mse = np.array([alpha0, beta0]), _mse(np.array([alpha0, beta0]), xs, ns)
-    used_range = (float(xs.min()), float(xs.max()))
+    a, b = _ALPHA_BRACKET
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f_c, f_d = beta_mse(c)[1], beta_mse(d)[1]
+    while b - a > 1e-12:
+        if f_c <= f_d:
+            b, d, f_d = d, c, f_c
+            c = b - _INV_PHI * (b - a)
+            f_c = beta_mse(c)[1]
+        else:
+            a, c, f_c = c, d, f_d
+            d = a + _INV_PHI * (b - a)
+            f_d = beta_mse(d)[1]
+    alpha = (a + b) / 2
+    for edge in _ALPHA_BRACKET:
+        if abs(alpha - edge) < 1e-9:
+            raise ValueError(f"fitted alpha hit the search bracket edge {edge:g}")
+    beta, mse = beta_mse(alpha)
     return ParetoFit(
-        alpha=float(params[0]),
-        beta=float(params[1]),
-        mse=float(mse),
-        fit_range=used_range,
+        alpha=alpha,
+        beta=beta,
+        mse=mse,
+        fit_range=(float(xs.min()), float(xs.max())),
         x_m=float(xs.min()),
         n_points=len(xs),
     )

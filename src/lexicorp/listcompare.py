@@ -34,10 +34,6 @@ class WordListEntry:
 class ExternalWordList:
     entries: tuple[WordListEntry, ...]
 
-    @property
-    def has_sfi(self) -> bool:
-        return all(e.sfi is not None for e in self.entries)
-
     def __len__(self):
         return len(self.entries)
 
@@ -329,7 +325,6 @@ def compare(
     widths: Sequence[int] | None = None,
     tops: Sequence[int] | None = None,
     fragment_ks: Sequence[int] | None = None,
-    last_position_sizes: Sequence[int] | None = None,
 ) -> ComparisonReport:
     """Run the full comparison suite and collect a ComparisonReport.
 
@@ -368,10 +363,8 @@ def compare(
     order_a = sorted((e.stem for e in common), key=lambda s: ranks[s])
     order_b = [e.stem for e in sorted(common, key=lambda e: (-e.sfi_avg, e.stem))]
 
-    if last_position_sizes is None:
-        last_position_sizes = list(range(100, n_common, 100)) + [n_common]
     report.last_position_table = last_position(
-        d, StemmedWordList(tuple(common)), last_position_sizes)
+        d, StemmedWordList(tuple(common)), list(range(100, n_common, 100)) + [n_common])
 
     for w in (widths if widths is not None else default_widths(n_common)):
         if 1 <= w:

@@ -37,6 +37,12 @@ class TestIngest:
         assert "n_parsed\t0" in report
         assert read(out / "corpus.tsv").splitlines()[1:] == []
 
+    def test_zero_byte_export_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "zero.tsv"
+        src.write_bytes(b"")
+        assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert "no header row" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, export_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["ingest", str(export_file), "--out", str(out1)]) == 0
@@ -256,12 +262,12 @@ class TestCompare:
         assert summary["coverage_count"] == 2
         assert summary["src"] is None
 
-    def test_empty_word_list_is_computation_error(self, tmp_path):
+    def test_empty_word_list_is_input_error(self, tmp_path):
         dict_path, _ = self.make_inputs(tmp_path)
         empty = tmp_path / "empty.csv"
         empty.write_text("headword,sfi\n", encoding="utf-8")
         rc = main(["compare", str(dict_path), str(empty), "--out", str(tmp_path / "c")])
-        assert rc == 3
+        assert rc == 2
 
 
 class TestGen:

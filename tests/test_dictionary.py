@@ -74,23 +74,6 @@ class TestPrune:
         assert dct.prune(dct.prune(d, 15), 7).entries == dct.prune(d, 15).entries
 
 
-class TestMinUniqueWords:
-    def test_reported(self):
-        d = dct.build([("d", ["a", "b"])])
-        flagged = dct.min_unique_words_check([("x", ["a", "a", "b"])], d, 3)
-        assert flagged == [("x", 2)]
-
-    def test_not_reported(self):
-        d = dct.build([("d", ["a", "b", "c"])])
-        assert dct.min_unique_words_check([("x", ["a", "b", "c"])], d, 3) == []
-
-    def test_only_dictionary_words_count(self):
-        d = dct.build([("d", ["a", "b", "c"])])
-        pruned = Dictionary([e for e in d.entries if e.word != "c"])
-        flagged = dct.min_unique_words_check([("x", ["a", "b", "c"])], pruned, 3)
-        assert flagged == [("x", 2)]
-
-
 class TestSerialization:
     def roundtrip(self, d):
         buf = io.StringIO()
@@ -129,6 +112,22 @@ class TestSerialization:
         text = "#lexicorp-dict v1 threshold=0 config=c\na\t5\t3\n"
         with pytest.raises(DictionaryFormatError):
             dct.deserialize(io.StringIO(text))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.tsv"
+        dct.save(dct.build([("d", ["a", "b"])]), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+        before = path.read_bytes()
+
+        def fail_mid_write(d, stream):
+            stream.write("#lexicorp-dict v1 threshold=0 config=\nc\t1\t1\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dct, "serialize", fail_mid_write)
+        with pytest.raises(OSError, match="disk full"):
+            dct.save(dct.build([("d", ["c"])]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
 
 
 TOKEN = st.text(alphabet="abcdefg", min_size=1, max_size=3)

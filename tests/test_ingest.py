@@ -11,8 +11,8 @@ CFG = default_config()
 FORMS = CFG.heading_forms
 
 
-def parse(text, fmt=None):
-    return ingest.parse_records(io.StringIO(text), fmt)
+def parse(text):
+    return ingest.parse_records(io.StringIO(text))
 
 
 HEADER = "AU\tTI\tAB\tWC\tSC\tZ9\tTC\n"
@@ -55,15 +55,6 @@ class TestParseRecords:
         text = HEADER + "A\tT\tabs\tP\tS\t-3\t0\n"
         records, errors = parse(text)
         assert records == [] and len(errors) == 1
-
-    def test_explicit_column_indices(self):
-        fmt = ingest.RecordFormat(header=False, columns=tuple({
-            "authors": 0, "title": 1, "abstract": 2, "categories": 3,
-            "research_areas": 4, "total_times_cited": 5, "times_cited_core": 6,
-        }.items()))
-        records, errors = parse("A\tT\tabs\tP\tS\t1\t2\n", fmt)
-        assert len(records) == 1 and not errors
-        assert records[0].times_cited_core == 2
 
     def test_missing_header_column_fatal(self):
         with pytest.raises(ValueError, match="missing required columns"):

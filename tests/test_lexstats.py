@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fit_reference
+from lexicorp import dictionary as dct
 from lexicorp import lexstats as ls
 from lexicorp.dictionary import DictEntry, Dictionary
 
@@ -59,52 +61,42 @@ class TestCumulativeAndTail:
         assert ls.tail(h).points[-1][1] == 0
 
 
-class TestParetoFunctions:
-    def test_tail_at_lower_bound(self):
-        for alpha in (0.3, 1.0, 4.2):
-            assert ls.pareto_tail(2.5, 2.5, alpha) == 1.0
+class TestFitAgainstReference:
+    """The golden-section fit reaches an MSE no worse than the simplex fit
+    it replaced (fit_reference) at nearly the same alpha."""
 
-    def test_tail_below_bound(self):
-        assert ls.pareto_tail(0.5, 1.0, 2.0) == 1.0
-        assert ls.pareto_cdf(0.5, 1.0, 2.0) == 0.0
-        assert ls.pareto_pdf(0.5, 1.0, 2.0) == 0.0
+    @staticmethod
+    def check(curve):
+        new, old = ls.fit_pareto(curve), fit_reference.fit_pareto(curve)
+        assert new.mse <= old.mse * (1 + 1e-9)
+        assert new.alpha == pytest.approx(old.alpha, abs=1e-4)
+        assert (new.fit_range, new.x_m, new.n_points) == (old.fit_range, old.x_m, old.n_points)
 
-    def test_tail_value(self):
-        assert ls.pareto_tail(2, 1, 1) == pytest.approx(0.5)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5752, 0.9])
+    def test_noisy_curves_of_criterion_4(self, alpha):
+        xs = np.arange(1, 2001)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            factors = 1.0 + 0.01 * rng.standard_normal(len(xs))
+            self.check(ls.TailCurve(tuple(
+                (int(x), 1000.0 / x**alpha * f) for x, f in zip(xs, factors))))
 
-    def test_cdf_tail_sum_to_one(self):
-        for x in (1.0, 2.0, 10.0, 100.0):
-            assert ls.pareto_cdf(x, 1.0, 0.7) + ls.pareto_tail(x, 1.0, 0.7) == pytest.approx(1.0)
+    @pytest.mark.parametrize("vocab,docs,zipf,seed", [
+        (2000, 300, 1.0, 1), (5000, 500, 1.1, 2), (3000, 400, 0.8, 3), (1000, 200, 1.2, 4),
+    ])
+    def test_synthetic_dictionary_tails(self, vocab, docs, zipf, seed):
+        d = dct.build(ls.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len=100))
+        for threshold in (0, 10):
+            self.check(ls.tail(ls.histogram(dct.prune(d, threshold))))
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ls.pareto_tail(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ls.pareto_pdf(1.0, 1.0, -2.0)
+    def test_increasing_curve_hits_lower_edge(self):
+        curve = ls.TailCurve(tuple((x, float(x)) for x in range(1, 50)))
+        with pytest.raises(ValueError, match="bracket edge 0"):
+            ls.fit_pareto(curve)
 
-    def test_pdf_integrates_to_one(self):
-        from scipy.integrate import quad
-        for x_m, alpha in [(1.0, 0.5752), (3.0, 1.2), (0.5, 2.0)]:
-            total, err = quad(ls.pareto_pdf, x_m, np.inf, args=(x_m, alpha))
-            assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_pdf_is_derivative_of_cdf(self):
-        # central finite differences, independent of the closed form
-        x_m, alpha = 1.0, 0.8
-        for x in (1.5, 2.0, 5.0, 20.0):
-            h = 1e-6 * x
-            numeric = (ls.pareto_cdf(x + h, x_m, alpha) - ls.pareto_cdf(x - h, x_m, alpha)) / (2 * h)
-            assert numeric == pytest.approx(ls.pareto_pdf(x, x_m, alpha), rel=1e-6)
-
-    @given(st.floats(0.1, 5), st.floats(0.1, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_cdf_monotone_with_limits(self, x_m, alpha):
-        xs = np.linspace(x_m / 2, x_m * 50, 300)
-        values = ls.pareto_cdf(xs, x_m, alpha)
-        assert np.all(np.diff(values) >= -1e-15)
-        assert values[0] == 0.0
-        far = x_m * 10.0 ** (4 / alpha)
-        assert ls.pareto_cdf(far, x_m, alpha) > 0.999
+    def test_curve_steeper_than_bracket_hits_upper_edge(self):
+        with pytest.raises(ValueError, match="bracket edge 10"):
+            ls.fit_pareto(power_curve(12.0, 1e30, range(1, 50)))
 
 
 class TestLogLogSlope:
@@ -180,7 +172,7 @@ class TestSyntheticCorpus:
 
     def test_zipfian_tail_roughly_linear_on_loglog(self):
         from lexicorp.dictionary import build
-        d = build(ls.gen_synthetic_corpus(2000, 400, 1.0, seed=3, doc_len=150))
+        d = dct.build(ls.gen_synthetic_corpus(2000, 400, 1.0, seed=3, doc_len=150))
         curve = ls.tail(ls.histogram(d))
         slope = ls.loglog_slope(curve)
         assert -3.0 < slope < -0.1

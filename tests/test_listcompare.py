@@ -76,7 +76,7 @@ class TestReadWordList:
 
     def test_no_sfi_column(self):
         wl = lc.read_word_list(io.StringIO("word\nfoo\nbar\n"))
-        assert len(wl) == 2 and not wl.has_sfi
+        assert len(wl) == 2 and all(e.sfi is None for e in wl.entries)
 
     def test_out_of_range_values_warn(self, caplog):
         with caplog.at_level("WARNING"):
