@@ -57,14 +57,14 @@ def cli():
 def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
     """Clean a tab-delimited export into a canonical corpus file."""
     cfg = _load_cfg(config_dir, min_len, max_len)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(sys.argv[1:] or ["ingest"], cfg.config_hash())
     manifest.add_input(input_path)
 
     with open(input_path, encoding="utf-8") as f:
         docs, report, errors = ingest.run_ingest(f, cfg)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "corpus.tsv", "w", encoding="utf-8") as f:
         ingest.write_corpus(docs, f)
     counts, mean = ingest.length_histogram(docs)
@@ -159,9 +159,12 @@ def _parse_range(text):
         return None
     try:
         lo, _, hi = text.partition(":")
-        return float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
     except ValueError:
         raise click.UsageError("--range must look like 'xmin:xmax'") from None
+    if not lo < hi:
+        raise click.UsageError(f"--range {text!r} is empty: xmin must be below xmax")
+    return lo, hi
 
 
 @cli.command("stats")
@@ -248,6 +251,11 @@ def _parse_int_list(text):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     """Coverage, overlap and rank agreement against a headword list."""
+    widths, tops, fragments = (_parse_int_list(v) for v in (widths, tops, fragments))
+    if widths and min(widths) < 1:
+        raise click.UsageError(f"--widths must be at least 1, got {min(widths)}")
+    if tops and min(tops) < 0:
+        raise click.UsageError(f"--tops must be non-negative, got {min(tops)}")
     manifest = RunManifest(sys.argv[1:] or ["compare"])
     manifest.add_input(dict_path)
     manifest.add_input(wordlist_path)
@@ -257,12 +265,7 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     if not len(raw_list):
         raise InputError("empty word list")
     stemmed = listcompare.stem_merge(raw_list)
-    report = listcompare.compare(
-        d, stemmed,
-        widths=_parse_int_list(widths),
-        tops=_parse_int_list(tops),
-        fragment_ks=_parse_int_list(fragments),
-    )
+    report = listcompare.compare(d, stemmed, widths=widths, tops=tops, fragment_ks=fragments)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_comparison(report, out)

@@ -9,12 +9,14 @@ once toward its document count.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import gc
 import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .config import InputError
 
@@ -27,8 +29,7 @@ class DictionaryFormatError(InputError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class DictEntry:
+class DictEntry(NamedTuple):
     word: str
     doc_count: int
     corpus_count: int
@@ -51,6 +52,13 @@ class Dictionary:
         self.entries = sorted(entries, key=_SORT_KEY)
         self.provenance = provenance
         self._rank: dict[str, int] | None = None
+
+    @classmethod
+    def _of_canonical(cls, entries: list[DictEntry], provenance: Provenance) -> Dictionary:
+        """Wrap entries already in canonical order without sorting them again."""
+        d = cls([], provenance)
+        d.entries = entries
+        return d
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -115,10 +123,12 @@ def prune(d: Dictionary, threshold: int) -> Dictionary:
     """Keep entries whose doc_count strictly exceeds `threshold`."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    entries = [e for e in d.entries if e.doc_count > threshold]
+    # Doc counts never increase along the canonical order, so the kept
+    # entries are a prefix of it.
+    keep = bisect.bisect_left(d.entries, -threshold, key=lambda e: -e.doc_count)
     prov = Provenance(d.provenance.corpus_id, d.provenance.config_hash,
                       max(threshold, d.provenance.threshold))
-    return Dictionary(entries, prov)
+    return Dictionary._of_canonical(d.entries[:keep], prov)
 
 
 _HEADER_RE = re.compile(
@@ -138,38 +148,58 @@ def serialize(d: Dictionary, stream: IO[str]) -> None:
 
 
 def deserialize(stream: IO[str]) -> Dictionary:
-    """Read a dictionary file; malformed content fails with its line number."""
-    entries = []
-    seen: set[str] = set()
-    provenance = None
-    for line_no, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if line_no == 1:
-            m = _HEADER_RE.match(line)
-            if not m:
-                raise DictionaryFormatError(line_no, f"bad header: {line!r}")
-            provenance = Provenance(corpus_id=m.group(3) or "",
-                                    config_hash=m.group(2),
-                                    threshold=int(m.group(1)))
-            continue
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DictionaryFormatError(line_no, f"expected 3 columns, got {len(parts)}")
-        word, doc_s, corpus_s = parts
-        try:
-            doc_count, corpus_count = int(doc_s), int(corpus_s)
-        except ValueError:
-            raise DictionaryFormatError(line_no, f"non-integer count in {line!r}") from None
-        if not word or doc_count < 1 or corpus_count < doc_count:
-            raise DictionaryFormatError(line_no, f"invalid entry {line!r}")
-        if word in seen:
-            raise DictionaryFormatError(line_no, f"duplicate word {word!r}")
-        seen.add(word)
-        entries.append(DictEntry(word, doc_count, corpus_count))
-    if provenance is None:
+    """Read a dictionary file; malformed content fails with its line number.
+
+    Rows in canonical order, as `serialize` writes them, are kept as read;
+    rows in any other order are sorted.
+    """
+    header = stream.readline()
+    if not header:
         raise DictionaryFormatError(0, "empty file (missing header)")
+    header = header.rstrip("\n")
+    m = _HEADER_RE.match(header)
+    if not m:
+        raise DictionaryFormatError(1, f"bad header: {header!r}")
+    provenance = Provenance(corpus_id=m.group(3) or "",
+                            config_hash=m.group(2),
+                            threshold=int(m.group(1)))
+    entries: list[DictEntry] = []
+    seen: set[str] = set()
+    in_order = True
+    prev_key: tuple = ()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # entries hold no cycles; collecting while they pile up only rescans them
+    try:
+        for line_no, line in enumerate(stream, 2):
+            try:
+                # int() ignores the trailing newline, as it ignores other surrounding whitespace.
+                word, doc_s, corpus_s = line.split("\t")
+                doc_count, corpus_count = int(doc_s), int(corpus_s)
+            except ValueError:
+                if line == "\n":
+                    continue
+                line = line.rstrip("\n")
+                n_cols = len(line.split("\t"))
+                message = (f"expected 3 columns, got {n_cols}" if n_cols != 3
+                           else f"non-integer count in {line!r}")
+                raise DictionaryFormatError(line_no, message) from None
+            if not word or doc_count < 1 or corpus_count < doc_count:
+                line = line.rstrip("\n")
+                raise DictionaryFormatError(line_no, f"invalid entry {line!r}")
+            if word in seen:
+                raise DictionaryFormatError(line_no, f"duplicate word {word!r}")
+            seen.add(word)
+            if in_order:
+                key = (-doc_count, -corpus_count, word)
+                in_order = prev_key < key
+                prev_key = key
+            # DictEntry(...) without the Python-level __new__ that would call this.
+            entries.append(tuple.__new__(DictEntry, (word, doc_count, corpus_count)))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    if in_order:
+        return Dictionary._of_canonical(entries, provenance)
     return Dictionary(entries, provenance)
 
 

@@ -218,25 +218,19 @@ def interval_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], width: int)
         raise ValueError("interval width must be at least 1")
     if set(ranks_a) != set(ranks_b) or len(ranks_a) != len(ranks_b):
         raise ValueError("orderings must contain exactly the same words")
-    total = len(ranks_a)
-    if total == 0:
+    if len(ranks_a) == 0:
         raise ValueError("empty orderings")
-    matched = 0
-    for start in range(0, total, width):
-        seg_a = set(ranks_a[start:start + width])
-        seg_b = set(ranks_b[start:start + width])
-        matched += len(seg_a & seg_b)
-    return matched / total
+    return _interval_overlaps(*_positions(ranks_a, ranks_b), [width])[width]
 
 
 def top_n_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], n: int) -> int:
     _check_n(ranks_a, ranks_b, n)
-    return len(set(ranks_a[:n]) & set(ranks_b[:n]))
+    return _top_bottom_overlaps(*_positions(ranks_a, ranks_b), len(ranks_a), [n])[0][n]
 
 
 def bottom_n_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], n: int) -> int:
     _check_n(ranks_a, ranks_b, n)
-    return len(set(ranks_a[len(ranks_a) - n:]) & set(ranks_b[len(ranks_b) - n:]))
+    return _top_bottom_overlaps(*_positions(ranks_a, ranks_b), len(ranks_a), [n])[1][n]
 
 
 def _check_n(ranks_a, ranks_b, n):
@@ -244,6 +238,33 @@ def _check_n(ranks_a, ranks_b, n):
         raise ValueError("orderings must have equal length")
     if not 0 <= n <= len(ranks_a):
         raise ValueError(f"n must be between 0 and {len(ranks_a)}")
+
+
+def _positions(ranks_a: Sequence[str], ranks_b: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """0-based positions (pa, pb) in each ordering of the words found in both."""
+    pos_b = dict(zip(ranks_b, range(len(ranks_b))))
+    if len(pos_b) != len(ranks_b) or len(set(ranks_a)) != len(ranks_a):
+        raise ValueError("orderings must not repeat a word")
+    pa = [i for i, w in enumerate(ranks_a) if w in pos_b]
+    pb = [pos_b[ranks_a[i]] for i in pa]
+    return np.array(pa, dtype=np.intp), np.array(pb, dtype=np.intp)
+
+
+def _interval_overlaps(pa: np.ndarray, pb: np.ndarray, widths: Iterable[int]) -> dict[int, float]:
+    """width -> fraction of the words whose interval index agrees in both orderings."""
+    return {w: int(np.count_nonzero(pa // w == pb // w)) / len(pa) for w in widths}
+
+
+def _top_bottom_overlaps(pa: np.ndarray, pb: np.ndarray, total: int,
+                         ns: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """n -> words in the first n of both orderings, and n -> words in the
+    last n of both, for orderings of `total` words."""
+    # A word is in both top-n sets when max(pa, pb) < n and in both bottom-n
+    # sets when min(pa, pb) >= total - n; a cumulative count answers every n.
+    top = np.concatenate(([0], np.cumsum(np.bincount(np.maximum(pa, pb), minlength=total))))
+    bottom = np.concatenate(([0], np.cumsum(
+        np.bincount(total - 1 - np.minimum(pa, pb), minlength=total))))
+    return {n: int(top[n]) for n in ns}, {n: int(bottom[n]) for n in ns}
 
 
 def same_rank_words(ranks_a: Sequence[str], ranks_b: Sequence[str]) -> list[tuple[str, int]]:
@@ -366,14 +387,14 @@ def compare(
     report.last_position_table = last_position(
         d, StemmedWordList(tuple(common)), list(range(100, n_common, 100)) + [n_common])
 
-    for w in (widths if widths is not None else default_widths(n_common)):
-        if 1 <= w:
-            report.interval_overlaps[w] = interval_overlap(order_a, order_b, w)
-
-    for n in (tops if tops is not None else default_widths(n_common)):
-        if 0 <= n <= n_common:
-            report.top_overlap[n] = top_n_overlap(order_a, order_b, n)
-            report.bottom_overlap[n] = bottom_n_overlap(order_a, order_b, n)
+    if widths is None:
+        widths = default_widths(n_common)
+    if tops is None:
+        tops = default_widths(n_common)
+    pa, pb = _positions(order_a, order_b)
+    report.interval_overlaps = _interval_overlaps(pa, pb, [w for w in widths if 1 <= w])
+    report.top_overlap, report.bottom_overlap = _top_bottom_overlaps(
+        pa, pb, n_common, [n for n in tops if 0 <= n <= n_common])
 
     doc_counts = d.doc_counts()
     pairs = [(doc_counts[e.stem], e.sfi_avg) for e in common]

@@ -1,0 +1,60 @@
+"""The dictionary reader as it was before the single-pass loader: frozen
+dataclass entries, a per-line parse with every check in sequence, and a
+sort of the result by the canonical key whatever order the rows came in.
+Kept as the oracle that tests/test_dictionary.py checks `deserialize`
+against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import IO
+
+from lexicorp.dictionary import _HEADER_RE, DictionaryFormatError, Provenance
+
+
+@dataclass(frozen=True)
+class DictEntry:
+    word: str
+    doc_count: int
+    corpus_count: int
+
+
+_SORT_KEY = lambda e: (-e.doc_count, -e.corpus_count, e.word)
+
+
+def deserialize(stream: IO[str]) -> tuple[list[DictEntry], Provenance]:
+    """Read a dictionary file; returns its entries in canonical order and
+    its provenance. Malformed content fails with its line number."""
+    entries = []
+    seen: set[str] = set()
+    provenance = None
+    for line_no, line in enumerate(stream, 1):
+        line = line.rstrip("\n")
+        if line_no == 1:
+            m = _HEADER_RE.match(line)
+            if not m:
+                raise DictionaryFormatError(line_no, f"bad header: {line!r}")
+            provenance = Provenance(corpus_id=m.group(3) or "",
+                                    config_hash=m.group(2),
+                                    threshold=int(m.group(1)))
+            continue
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DictionaryFormatError(line_no, f"expected 3 columns, got {len(parts)}")
+        word, doc_s, corpus_s = parts
+        try:
+            doc_count, corpus_count = int(doc_s), int(corpus_s)
+        except ValueError:
+            raise DictionaryFormatError(line_no, f"non-integer count in {line!r}") from None
+        if not word or doc_count < 1 or corpus_count < doc_count:
+            raise DictionaryFormatError(line_no, f"invalid entry {line!r}")
+        if word in seen:
+            raise DictionaryFormatError(line_no, f"duplicate word {word!r}")
+        seen.add(word)
+        entries.append(DictEntry(word, doc_count, corpus_count))
+    if provenance is None:
+        raise DictionaryFormatError(0, "empty file (missing header)")
+    return sorted(entries, key=_SORT_KEY), provenance

@@ -42,6 +42,7 @@ class TestIngest:
         src.write_bytes(b"")
         assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
         assert "no header row" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, export_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -223,6 +224,15 @@ class TestStats:
         dct.save(dct.Dictionary([]), dict_path)
         assert main(["stats", str(dict_path), "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("fit_range", ["10:1", "5:5", "nan:3"])
+    def test_empty_range_is_usage_error(self, tmp_path, fit_range, capsys):
+        dict_path = tmp_path / "d.tsv"
+        dct.save(dct.Dictionary([dct.DictEntry("a", 3, 4)]), dict_path)
+        out = tmp_path / "stats"
+        assert main(["stats", str(dict_path), "--range", fit_range, "--out", str(out)]) == 1
+        assert fit_range in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def make_inputs(self, tmp_path):
@@ -268,6 +278,16 @@ class TestCompare:
         empty.write_text("headword,sfi\n", encoding="utf-8")
         rc = main(["compare", str(dict_path), str(empty), "--out", str(tmp_path / "c")])
         assert rc == 2
+
+    @pytest.mark.parametrize("option,value", [("--widths", "5,0"), ("--tops", "2,-1")])
+    def test_out_of_range_sizes_are_usage_errors(self, tmp_path, option, value, capsys):
+        # the inputs do not exist: the sizes are refused before any file is read
+        out = tmp_path / "c"
+        rc = main(["compare", str(tmp_path / "no.tsv"), str(tmp_path / "no.csv"),
+                   option, value, "--out", str(out)])
+        assert rc == 1
+        assert option in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGen:

@@ -1,9 +1,11 @@
+import gc
 import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dictionary_reference as ref
 from lexicorp import dictionary as dct
 from lexicorp.dictionary import DictEntry, Dictionary, DictionaryFormatError, Provenance
 
@@ -176,3 +178,95 @@ def test_merge_refuses_different_configs():
         dct.merge(a, b)
     assert dct.merge(a, dct.build([("d2", ["x"])], config_hash="aaa")).entries == [
         DictEntry("x", 2, 2)]
+
+
+# Differential test against the per-line reader in dictionary_reference.
+
+GOOD_HEADERS = [
+    "#lexicorp-dict v1 threshold=0 config=abc",
+    "#lexicorp-dict v1 threshold=10 config=c corpus=x1 ",
+    "#lexicorp-dict v1 threshold=٣ config=",
+]
+HEADER = st.sampled_from(GOOD_HEADERS * 3 + ["#lexicorp-dict v2 threshold=0 config=c", ""])
+ENTRY_WORD = st.text(alphabet="abé İ中\r\x85", min_size=1, max_size=3)
+COUNT_TEXT = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.sampled_from(["+5", " 5", "5 ", "1_0", "_1", "1__0", "x", "", "٣", "1.0",
+                     " 7", "5\x1c"]),
+)
+JUNK_ROW = st.one_of(
+    st.tuples(st.text(alphabet="aé ", max_size=2), COUNT_TEXT, COUNT_TEXT).map("\t".join),
+    st.lists(st.text(alphabet="a1", max_size=2), min_size=1, max_size=5).map("\t".join),
+    st.just(""),
+)
+
+
+@st.composite
+def dictionary_texts(draw):
+    """A header (or nothing), then valid rows in canonical or arbitrary order
+    with blank, duplicate and malformed rows mixed in, under LF or CRLF."""
+    entries = draw(st.lists(st.tuples(ENTRY_WORD, st.integers(1, 4), st.integers(0, 2)),
+                            max_size=10, unique_by=lambda e: e[0]))
+    entries = [(w, d, d + extra) for w, d, extra in entries]
+    if draw(st.booleans()):
+        entries.sort(key=lambda e: (-e[1], -e[2], e[0]))
+    rows = [f"{w}\t{d}\t{c}" for w, d, c in entries]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(rows)))
+        if rows and draw(st.booleans()):
+            rows.insert(at, draw(st.sampled_from(rows)))  # a duplicate word
+        else:
+            rows.insert(at, draw(JUNK_ROW))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([draw(HEADER)] + rows)
+    if draw(st.booleans()):
+        text += eol
+    return text
+
+
+def _stream(text, as_file):
+    """`text` as a StringIO, or as a file opened in text mode reads it."""
+    if as_file:
+        return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    return io.StringIO(text)
+
+
+def _outcome(read, text, as_file):
+    """("ok", entry tuples, provenance) or ("error", line number, message)."""
+    try:
+        got = read(_stream(text, as_file))
+    except DictionaryFormatError as e:
+        return ("error", e.line_no, str(e))
+    entries, provenance = got if isinstance(got, tuple) else (got.entries, got.provenance)
+    return ("ok", [(e.word, e.doc_count, e.corpus_count) for e in entries], provenance)
+
+
+@settings(max_examples=600, deadline=None)
+@given(dictionary_texts(), st.booleans())
+def test_deserialize_matches_reference(text, as_file):
+    want = _outcome(ref.deserialize, text, as_file)
+    assert _outcome(dct.deserialize, text, as_file) == want
+    if want[0] == "ok":
+        d = dct.deserialize(_stream(text, as_file))
+        assert all(type(e) is DictEntry for e in d.entries)
+        for threshold in range(6):
+            assert dct.prune(d, threshold).entries == [
+                e for e in d.entries if e.doc_count > threshold]
+
+
+def test_deserialize_restores_the_collector_state():
+    good = "#lexicorp-dict v1 threshold=0 config=c\na\t1\t1\n"
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            for text in (good, good + "a\t1\t1\n"):
+                try:
+                    dct.deserialize(io.StringIO(text))
+                except DictionaryFormatError:
+                    pass
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compare_reference as ref
 from lexicorp import listcompare as lc
 from lexicorp.dictionary import DictEntry, Dictionary
 
@@ -233,6 +234,11 @@ class TestTopBottomOverlap:
         with pytest.raises(ValueError):
             lc.top_n_overlap(self.A, self.B, 11)
 
+    def test_repeated_word_rejected(self):
+        for overlap in (lc.top_n_overlap, lc.bottom_n_overlap, lc.interval_overlap):
+            with pytest.raises(ValueError, match="repeat"):
+                overlap(["a", "a", "b"], ["a", "b", "b"], 1)
+
 
 class TestSameRank:
     def test_toy(self):
@@ -365,3 +371,51 @@ def test_default_widths_ladder():
     assert widths[:3] == [5, 10, 15]
     assert widths[-2:] == [890, 891]
     assert lc.default_widths(3) == [3]
+
+
+# Differential tests against the set-based overlaps in compare_reference.
+
+
+@st.composite
+def orderings(draw):
+    """Two orderings of equal length; the second shares `shared` words with the first."""
+    n = draw(st.integers(1, 40))
+    a = draw(st.permutations([f"w{i}" for i in range(n)]))
+    shared = draw(st.integers(0, n))
+    b = draw(st.permutations(a[:shared] + [f"x{i}" for i in range(n - shared)]))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(orderings(), st.data())
+def test_overlaps_match_reference(ab, data):
+    a, b = ab
+    n = data.draw(st.integers(0, len(a)))
+    assert lc.top_n_overlap(a, b, n) == ref.top_n_overlap(a, b, n)
+    assert lc.bottom_n_overlap(a, b, n) == ref.bottom_n_overlap(a, b, n)
+    b = data.draw(st.permutations(a))
+    width = data.draw(st.integers(1, len(a) + 2))
+    assert lc.interval_overlap(a, b, width) == ref.interval_overlap(a, b, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 60).flatmap(lambda n: st.permutations(range(n))), st.data())
+def test_compare_overlap_tables_match_reference(perm, data):
+    # dictionary order w0, w1, ...; list order by frequency index follows `perm`
+    n = len(perm)
+    words = [f"w{i}" for i in range(n)]
+    d = make_dict([(w, n - i) for i, w in enumerate(words)])
+    wl = stemmed([(words[p], float(n - pos)) for pos, p in enumerate(perm)])
+    order_b = [words[p] for p in perm]
+    widths = tops = None
+    if data.draw(st.booleans()):
+        widths = data.draw(st.lists(st.integers(1, n + 3), max_size=6))
+        tops = data.draw(st.lists(st.integers(0, n + 3), max_size=6))
+    report = lc.compare(d, wl, widths=widths, tops=tops)
+    widths = lc.default_widths(n) if widths is None else widths
+    tops = [k for k in (lc.default_widths(n) if tops is None else tops) if k <= n]
+    assert report.interval_overlaps == {
+        w: ref.interval_overlap(words, order_b, w) for w in widths}
+    assert report.top_overlap == {k: ref.top_n_overlap(words, order_b, k) for k in tops}
+    assert report.bottom_overlap == {k: ref.bottom_n_overlap(words, order_b, k) for k in tops}
+    assert all(type(v) is int for v in report.top_overlap.values())
