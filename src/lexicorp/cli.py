@@ -18,22 +18,18 @@ import click
 from . import dictionary, ingest, lexstats, listcompare
 from .config import InputError, PipelineConfig, default_config, dump_config, load_config
 from .dictionary import DictionaryFormatError
-from .manifest import RunManifest, file_digest
+from .manifest import RunManifest
 from .pipeline import process_document
 
 logger = logging.getLogger("lexicorp")
 
 
-def _load_cfg(config_dir, min_len=None, max_len=None, threshold=None) -> PipelineConfig:
+def _load_cfg(config_dir, min_len=None, max_len=None) -> PipelineConfig:
     overrides = {}
     if min_len is not None:
         overrides["min_len"] = min_len
     if max_len is not None:
         overrides["max_len"] = max_len
-    if threshold is not None:
-        overrides["prune_threshold"] = threshold
-    if config_dir is None and not overrides:
-        return load_config()
     return load_config(config_dir, **overrides)
 
 
@@ -86,15 +82,6 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
     click.echo(f"{report.n_after_length_filter} documents written to {out / 'corpus.tsv'}")
 
 
-def _read_corpus_docs(corpus_path):
-    with open(corpus_path, encoding="utf-8") as f:
-        records, errors = ingest.parse_records(f)
-    if errors:
-        raise DictionaryFormatError(errors[0].line_no,
-                                    f"malformed corpus file: {errors[0].reason}")
-    return records
-
-
 @cli.command("build")
 @click.argument("corpus_path", type=click.Path(dir_okay=False))
 @click.option("--config", "config_dir", type=click.Path(file_okay=False), default=None)
@@ -104,22 +91,22 @@ def cmd_build(corpus_path, config_dir, out_path):
     cfg = _load_cfg(config_dir)
     manifest = RunManifest(sys.argv[1:] or ["build"], cfg.config_hash())
     manifest.add_input(corpus_path)
-    corpus_id = file_digest(corpus_path)[:12]
-
-    records = _read_corpus_docs(corpus_path)
+    corpus_id = manifest.inputs[str(corpus_path)][:12]
     empty_docs = []
 
-    def token_lists():
+    def token_lists(records):
         for i, r in enumerate(records, 1):
+            if isinstance(r, ingest.ParseError):
+                raise DictionaryFormatError(r.line_no, f"malformed corpus file: {r.reason}")
             tokens = process_document(r.abstract, cfg)
             if tokens:
                 yield f"doc{i}", tokens
             else:
                 empty_docs.append((i, r.title))
-        # Free the abstracts before build turns its counts into entries.
-        records.clear()
 
-    d = dictionary.build(token_lists(), corpus_id=corpus_id, config_hash=cfg.config_hash())
+    with open(corpus_path, encoding="utf-8") as f:
+        d = dictionary.build(token_lists(ingest.parse_records(f)),
+                             corpus_id=corpus_id, config_hash=cfg.config_hash())
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     dictionary.save(d, out)
@@ -256,6 +243,8 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
         raise click.UsageError(f"--widths must be at least 1, got {min(widths)}")
     if tops and min(tops) < 0:
         raise click.UsageError(f"--tops must be non-negative, got {min(tops)}")
+    if fragments and min(fragments) < 1:
+        raise click.UsageError(f"--fragments must be at least 1, got {min(fragments)}")
     manifest = RunManifest(sys.argv[1:] or ["compare"])
     manifest.add_input(dict_path)
     manifest.add_input(wordlist_path)
@@ -338,20 +327,24 @@ def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
     """Generate a synthetic corpus with Zipfian word frequencies."""
-    if docs < 1 or vocab < 1 or doc_len < 1:
-        raise click.UsageError("--docs, --vocab and --length must be positive")
+    # Checked here, not by the generator, which raises only once the
+    # corpus file has been opened for writing.
+    if docs < 1 or vocab < 1 or doc_len < 1 or not zipf >= 0:
+        raise click.UsageError("--docs, --vocab and --length must be positive "
+                               "and --zipf non-negative")
     manifest = RunManifest(sys.argv[1:] or ["gen"], seed=seed)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    records = []
-    for doc_id, tokens in lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len):
-        records.append(ingest.RawRecord(
+    records = (
+        ingest.RawRecord(
             authors=["Synthetic, A"],
             title=f"Synthetic document {doc_id}",
             abstract=" ".join(tokens),
             categories=["Synthetic"],
             research_areas=["Synthetic"],
-        ))
+        )
+        for doc_id, tokens in lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len)
+    )
     with open(out, "w", encoding="utf-8") as f:
         ingest.write_corpus(records, f)
     manifest.write(str(out) + ".manifest.json")

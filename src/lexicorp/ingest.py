@@ -1,9 +1,10 @@
 """Parsing and cleaning of tab-delimited bibliographic record exports.
 
-Cleaning follows four stages: parse the export, drop records without an
-abstract or without categories, split section-heading words that the
-export glued onto the following word ("ConclusionHigher"), and keep only
-documents whose abstract length falls within the configured bounds.
+Cleaning takes each record through four steps in one pass: parse its
+line, drop it when it has no abstract or no categories, split
+section-heading words that the export glued onto the following word
+("ConclusionHigher"), and keep it only when its abstract length falls
+within the configured bounds. No step holds more than the kept documents.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .config import InputError, PipelineConfig, default_config
 
@@ -103,16 +104,16 @@ def _resolve_header(cells: list[str]) -> dict[str, int]:
     return mapping
 
 
-def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], list[ParseError]]:
-    """Parse a tab-delimited export into records plus an error ledger.
+def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[RawRecord | ParseError]:
+    """Yield each record of a tab-delimited export, in line order.
 
     Line 1 is the header naming the columns (WoS field tags or full
-    names). Malformed lines (wrong column count, unparsable citation
-    counts) are skipped and reported with their 1-based line number;
-    they are never dropped silently.
+    names); it is read on the first `next()`, which raises `InputError`
+    when it is missing or lacks a required column. A malformed line
+    (wrong column count, unparsable citation count) yields a
+    `ParseError` with its 1-based line number instead of a record; it is
+    never dropped silently.
     """
-    records: list[RawRecord] = []
-    errors: list[ParseError] = []
     lines = enumerate(stream, 1)
     first = next(lines, None)
     if first is None:
@@ -128,7 +129,7 @@ def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], lis
             continue
         cells = line.split("\t")
         if len(cells) != expected:
-            errors.append(ParseError(line_no, f"expected {expected} columns, got {len(cells)}"))
+            yield ParseError(line_no, f"expected {expected} columns, got {len(cells)}")
             continue
         kwargs = {}
         bad = None
@@ -149,24 +150,7 @@ def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], lis
                 kwargs[name] = n
             else:
                 kwargs[name] = value
-        if bad is not None:
-            errors.append(ParseError(line_no, bad))
-            continue
-        records.append(RawRecord(**kwargs))
-    return records, errors
-
-
-def filter_invalid(records: list[RawRecord]) -> list[RawRecord]:
-    """Keep records with a non-empty abstract and at least one category."""
-    kept = []
-    for r in records:
-        if not r.abstract.strip() or not r.categories:
-            continue
-        if len(r.categories) > 6:
-            logger.warning("record %r has %d categories (expected at most 6)",
-                           r.title[:40], len(r.categories))
-        kept.append(r)
-    return kept
+        yield RawRecord(**kwargs) if bad is None else ParseError(line_no, bad)
 
 
 @lru_cache(maxsize=16)
@@ -192,13 +176,6 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def filter_by_length(docs: list[Document], min_len: int, max_len: int) -> list[Document]:
-    """Keep documents whose word_count lies in [min_len, max_len]."""
-    if min_len > max_len:
-        raise ValueError("min_len must not exceed max_len")
-    return [d for d in docs if min_len <= d.word_count <= max_len]
-
-
 def length_histogram(docs: list[Document]) -> tuple[dict[int, int], float | None]:
     """Exact word-count histogram plus the mean length (None when empty)."""
     counts: dict[int, int] = {}
@@ -214,29 +191,40 @@ def run_ingest(
     stream: Iterable[str] | IO[str],
     config: PipelineConfig | None = None,
 ) -> tuple[list[Document], IngestReport, list[ParseError]]:
-    """Full cleaning pass: parse, field-filter, split headings, length-filter."""
+    """Clean an export one record at a time: field filter, heading split, length filter.
+
+    Returns the kept documents in record order, the stage counts and the
+    parse errors. Records with more than 6 categories are kept; one
+    warning per call gives their number and the first 5 titles.
+    """
     config = config or default_config()
-    records, errors = parse_records(stream)
-    report = IngestReport(n_parsed=len(records))
-
-    valid = filter_invalid(records)
-    report.n_after_field_filter = len(valid)
-
     forms = config.heading_forms
+    report = IngestReport()
     docs: list[Document] = []
-    for r in valid:
-        abstract, n_splits = split_concatenated_headings(r.abstract, forms)
+    errors: list[ParseError] = []
+    crowded: list[str] = []
+    n_crowded = 0
+    for r in parse_records(stream):
+        if isinstance(r, ParseError):
+            errors.append(r)
+            continue
+        report.n_parsed += 1
+        if not r.abstract.strip() or not r.categories:
+            continue
+        report.n_after_field_filter += 1
+        if len(r.categories) > 6:
+            n_crowded += 1
+            if len(crowded) < 5:
+                crowded.append(r.title[:40])
+        r.abstract, n_splits = split_concatenated_headings(r.abstract, forms)
         report.n_headings_split += n_splits
-        docs.append(Document(
-            authors=r.authors, title=r.title, abstract=abstract,
-            categories=r.categories, research_areas=r.research_areas,
-            total_times_cited=r.total_times_cited,
-            times_cited_core=r.times_cited_core,
-            word_count=word_count(abstract),
-        ))
-
-    docs = filter_by_length(docs, config.min_len, config.max_len)
+        n_words = word_count(r.abstract)
+        if config.min_len <= n_words <= config.max_len:
+            docs.append(Document(**vars(r), word_count=n_words))
     report.n_after_length_filter = len(docs)
+    if n_crowded:
+        logger.warning("%d record(s) have more than 6 categories (kept); first titles: %s",
+                       n_crowded, ", ".join(map(repr, crowded)))
     return docs, report, errors
 
 

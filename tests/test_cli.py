@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -114,6 +115,23 @@ class TestBuildAndPrune:
         assert main(["build", str(corpus), "--out", str(p1)]) == 0
         assert main(["build", str(corpus), "--out", str(p2)]) == 0
         assert read(p1) == read(p2)
+
+    def test_corpus_id_is_sha256_prefix(self, tmp_path):
+        corpus = self.build_fixture(tmp_path)
+        dict_path = tmp_path / "dict.tsv"
+        assert main(["build", str(corpus), "--out", str(dict_path)]) == 0
+        digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
+        assert f"corpus={digest[:12]}" in read(dict_path).splitlines()[0].split()
+
+    def test_malformed_last_line_is_input_error(self, tmp_path, capsys):
+        corpus = self.build_fixture(tmp_path)
+        with open(corpus, "a", encoding="utf-8") as f:
+            f.write("A\tT3\tw1 w2\tP\tS\tmany\t0\n")
+        dict_path = tmp_path / "dict.tsv"
+        assert main(["build", str(corpus), "--out", str(dict_path)]) == 2
+        assert "line 4: malformed corpus file: non-integer value" in capsys.readouterr().err
+        assert not dict_path.exists()
+        assert not Path(str(dict_path) + ".skipped.log").exists()
 
     def test_all_stopword_abstract_ledgered(self, tmp_path, capsys):
         src = tmp_path / "stop.tsv"
@@ -279,7 +297,8 @@ class TestCompare:
         rc = main(["compare", str(dict_path), str(empty), "--out", str(tmp_path / "c")])
         assert rc == 2
 
-    @pytest.mark.parametrize("option,value", [("--widths", "5,0"), ("--tops", "2,-1")])
+    @pytest.mark.parametrize("option,value", [("--widths", "5,0"), ("--tops", "2,-1"),
+                                              ("--fragments", "5,0")])
     def test_out_of_range_sizes_are_usage_errors(self, tmp_path, option, value, capsys):
         # the inputs do not exist: the sizes are refused before any file is read
         out = tmp_path / "c"
@@ -300,6 +319,12 @@ class TestGen:
 
     def test_zero_docs_usage_error(self, tmp_path):
         assert main(["gen", "--docs", "0", "--out", str(tmp_path / "x.tsv")]) == 1
+
+    @pytest.mark.parametrize("zipf", ["-1", "nan"])
+    def test_bad_zipf_usage_error_writes_nothing(self, tmp_path, zipf):
+        out = tmp_path / "x.tsv"
+        assert main(["gen", "--docs", "5", "--zipf", zipf, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_generated_corpus_builds(self, tmp_path):
         corpus = tmp_path / "synth.tsv"

@@ -1,18 +1,30 @@
 import io
 
+import ingest_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexicorp import ingest
-from lexicorp.config import default_config
+from lexicorp.config import InputError, PipelineConfig, default_config
 
 CFG = default_config()
 FORMS = CFG.heading_forms
+# No length floor, so that the field-filter cases can use one-word abstracts.
+LOOSE = PipelineConfig(min_len=1)
 
 
 def parse(text):
-    return ingest.parse_records(io.StringIO(text))
+    items = list(ingest.parse_records(io.StringIO(text)))
+    return ([r for r in items if isinstance(r, ingest.RawRecord)],
+            [e for e in items if isinstance(e, ingest.ParseError)])
+
+
+def ingest_records(records, config=CFG):
+    """run_ingest over an export holding `records`, one line each."""
+    text = ingest.corpus_header() + "\n" + "".join(ingest.format_record(r) + "\n"
+                                                   for r in records)
+    return ingest.run_ingest(io.StringIO(text), config)
 
 
 HEADER = "AU\tTI\tAB\tWC\tSC\tZ9\tTC\n"
@@ -66,19 +78,46 @@ class TestParseRecords:
         records, errors = parse(text)
         assert len(records) == 1 and not errors
 
+    def test_header_checked_on_first_next(self):
+        records = ingest.parse_records(io.StringIO(""))
+        with pytest.raises(InputError, match="no header row"):
+            next(records)
+
+    def test_records_stream_before_a_later_failure(self):
+        def lines():
+            yield HEADER
+            yield "A\tT1\tabs\tP\tS\t0\t0\n"
+            yield "short\trow\n"
+            yield "A\tT2\tabs\tP\tS\t0\t0\n"
+            raise OSError("read failed")
+
+        records = ingest.parse_records(lines())
+        assert next(records).title == "T1"
+        assert next(records) == ingest.ParseError(3, "expected 7 columns, got 2")
+        assert next(records).title == "T2"
+        with pytest.raises(OSError, match="read failed"):
+            next(records)
+
 
 class TestFilterInvalid:
     def test_empty_abstract_removed(self):
-        r = ingest.RawRecord(abstract="", categories=["Physics"])
-        assert ingest.filter_invalid([r]) == []
+        docs, report, _ = ingest_records([ingest.RawRecord(abstract="", categories=["Physics"])],
+                                         LOOSE)
+        assert docs == []
+        assert (report.n_parsed, report.n_after_field_filter) == (1, 0)
 
     def test_no_categories_removed(self):
-        r = ingest.RawRecord(abstract="text", categories=[])
-        assert ingest.filter_invalid([r]) == []
+        docs, report, _ = ingest_records([ingest.RawRecord(abstract="text", categories=[])],
+                                         LOOSE)
+        assert docs == []
+        assert (report.n_parsed, report.n_after_field_filter) == (1, 0)
 
     def test_valid_kept_in_order(self):
-        rs = [ingest.RawRecord(abstract=f"t{i}", categories=["C"]) for i in range(3)]
-        assert ingest.filter_invalid(rs) == rs
+        rs = [ingest.RawRecord(title=f"T{i}", abstract=f"t{i}", categories=["C"])
+              for i in range(3)]
+        docs, report, _ = ingest_records(rs, LOOSE)
+        assert docs == [ingest.Document(**vars(r), word_count=1) for r in rs]
+        assert report.n_after_field_filter == 3
 
     def test_idempotent(self):
         rs = [
@@ -86,15 +125,23 @@ class TestFilterInvalid:
             ingest.RawRecord(abstract="x", categories=["C"]),
             ingest.RawRecord(abstract="y", categories=[]),
         ]
-        once = ingest.filter_invalid(rs)
-        assert ingest.filter_invalid(once) == once
+        once, _, _ = ingest_records(rs, LOOSE)
+        again, report, _ = ingest_records(once, LOOSE)
+        assert again == once
+        assert report.n_after_field_filter == len(once) == 1
 
     def test_many_categories_warn_but_keep(self, caplog):
-        r = ingest.RawRecord(abstract="x", categories=[f"c{i}" for i in range(7)])
+        rs = [ingest.RawRecord(title=f"T{i}", abstract="x", categories=[f"c{j}" for j in range(7)])
+              for i in range(7)]
         with caplog.at_level("WARNING"):
-            kept = ingest.filter_invalid([r])
-        assert kept == [r]
-        assert any("categories" in m for m in caplog.messages)
+            docs, _, _ = ingest_records(rs + [ingest.RawRecord(abstract="y", categories=["c"])],
+                                        LOOSE)
+        assert len(docs) == 8
+        assert len(caplog.records) == 1
+        message = caplog.messages[0]
+        assert message.startswith("7 record(s) have more than 6 categories")
+        assert all(f"'T{i}'" in message for i in range(5))
+        assert "'T5'" not in message and "'T6'" not in message
 
 
 class TestSplitHeadings:
@@ -145,20 +192,24 @@ class TestWordCount:
 
 class TestFilterByLength:
     def make(self, n):
-        return ingest.Document(abstract="w " * n, categories=["C"], word_count=n)
+        return ingest.RawRecord(abstract="w " * n, categories=["C"])
 
     @pytest.mark.parametrize("n,kept", [(29, False), (30, True), (500, True), (501, False)])
     def test_boundaries(self, n, kept):
-        docs = [self.make(n)]
-        assert (len(ingest.filter_by_length(docs, 30, 500)) == 1) is kept
+        docs, report, _ = ingest_records([self.make(n)])
+        assert (len(docs) == 1) is kept
+        assert report.n_after_length_filter == len(docs)
 
     def test_idempotent_and_partition(self):
-        docs = [self.make(n) for n in (1, 29, 30, 100, 500, 501, 900)]
-        kept = ingest.filter_by_length(docs, 30, 500)
-        assert ingest.filter_by_length(kept, 30, 500) == kept
-        below = sum(1 for d in docs if d.word_count < 30)
-        above = sum(1 for d in docs if d.word_count > 500)
-        assert len(kept) + below + above == len(docs)
+        lengths = (1, 29, 30, 100, 500, 501, 900)
+        kept, report, _ = ingest_records([self.make(n) for n in lengths])
+        again, _, _ = ingest_records(kept)
+        assert again == kept
+        assert [d.word_count for d in kept] == [30, 100, 500]
+        below = sum(1 for n in lengths if n < 30)
+        above = sum(1 for n in lengths if n > 500)
+        assert report.n_after_field_filter == len(lengths)
+        assert len(kept) + below + above == len(lengths)
 
 
 class TestLengthHistogram:
@@ -213,3 +264,79 @@ def test_round_trip(authors, title, abstract, categories, areas, total, core):
     parsed, errors = parse(text)
     assert not errors
     assert parsed == [record]
+
+
+ALIASES = {f: sorted(a for a, name in ingest._HEADER_ALIASES.items() if name == f)
+           for f in ingest.FIELD_ORDER}
+WORDS = ("tau", "reduction", "x-ray", "Ünïcode", "Background")
+
+
+@st.composite
+def header_cells(draw):
+    """Column names in any order and spelling, maybe with an extra or a missing column."""
+    fields = list(draw(st.permutations(ingest.FIELD_ORDER)))
+    if draw(st.integers(0, 19)) == 0:
+        fields.pop(draw(st.integers(0, len(fields) - 1)))
+    cells = []
+    for f in fields:
+        name = draw(st.sampled_from(ALIASES[f]))
+        cells.append(draw(st.sampled_from([name, name.upper(), name.title(), f" {name} "])))
+    if draw(st.booleans()):
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(["Notes", "TI", "AB"])))
+    return cells
+
+
+def abstracts():
+    """Texts of 0, 29, 30, 500 or 501 words (and a few more), some with glued headings."""
+    n_words = st.sampled_from([0, 1, 29, 30, 31, 499, 500, 501])
+    glued = st.sampled_from(["", "ConclusionHigher ", "BackgroundTau AimsB ",
+                             "Implications for health and nursing policyThe "])
+    return st.builds(lambda g, n, w, pad: pad + g + " ".join([w] * n) + pad,
+                     glued, n_words, st.sampled_from(WORDS), st.sampled_from(["", " ", "  "]))
+
+
+def cells_for(name):
+    if name in ("authors", "categories", "research_areas"):
+        return st.one_of(
+            st.integers(0, 7).map(lambda k: "; ".join(f"{name[:3]}{i}" for i in range(k))),
+            st.sampled_from([" ; ", "Smith, J;Doe, A", "a;;b"]))
+    if name in ("total_times_cited", "times_cited_core"):
+        return st.sampled_from(["", "0", "3", " 7 ", "+2"] * 5 + ["-3", "many", "1.5", "٣"])
+    if name == "abstract":
+        return abstracts()
+    return st.sampled_from(["", "T", "A title", "Ünïcode title", "A title " * 8])
+
+
+@st.composite
+def exports(draw):
+    cells = draw(header_cells())
+    names = [ingest._HEADER_ALIASES.get(c.strip().lower()) for c in cells]
+    lines = ["\t".join(cells)]
+    for kind in draw(st.lists(st.sampled_from(["record"] * 6 + ["blank", "short", "long"]),
+                              max_size=8)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+        elif kind == "record":
+            lines.append("\t".join(draw(cells_for(n)) if n else "note" for n in names))
+        else:
+            lines.append("\t".join(["x"] * (len(cells) + (1 if kind == "long" else -2))))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def run_or_error(run, text):
+    try:
+        return run(io.StringIO(text), CFG)
+    except InputError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=exports())
+def test_run_ingest_matches_reference(text):
+    assert run_or_error(ingest.run_ingest, text) == run_or_error(reference.run_ingest, text)
+
+
+def test_empty_export_matches_reference():
+    assert run_or_error(ingest.run_ingest, "") == run_or_error(reference.run_ingest, "")
