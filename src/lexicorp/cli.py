@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 
 from . import dictionary, ingest, lexstats, listcompare
+from .atomic import atomic_open
 from .config import InputError, PipelineConfig, default_config, dump_config, load_config
 from .dictionary import DictionaryFormatError
 from .manifest import RunManifest
@@ -25,12 +26,13 @@ logger = logging.getLogger("lexicorp")
 
 
 def _load_cfg(config_dir, min_len=None, max_len=None) -> PipelineConfig:
-    overrides = {}
-    if min_len is not None:
-        overrides["min_len"] = min_len
-    if max_len is not None:
-        overrides["max_len"] = max_len
-    return load_config(config_dir, **overrides)
+    lo = default_config().min_len if min_len is None else min_len
+    hi = default_config().max_len if max_len is None else max_len
+    # Command-line input, so checked before any file is read.
+    if lo < 0 or hi < 1 or lo > hi:
+        raise click.UsageError(f"--min-len {lo} and --max-len {hi}: need "
+                               "0 <= --min-len <= --max-len and --max-len >= 1")
+    return load_config(config_dir, min_len=lo, max_len=hi)
 
 
 def _fmt_pct(fraction: float) -> str:
@@ -61,19 +63,19 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "corpus.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "corpus.tsv") as f:
         ingest.write_corpus(docs, f)
     counts, mean = ingest.length_histogram(docs)
-    with open(out / "ingest_report.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "ingest_report.tsv") as f:
         ingest.write_report(report, f)
         if mean is not None:
             f.write(f"mean_length\t{mean:.3f}\n")
-    with open(out / "lengths.csv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "lengths.csv") as f:
         f.write("length,documents\n")
         for length in sorted(counts):
             f.write(f"{length},{counts[length]}\n")
     if errors:
-        with open(out / "ingest_errors.log", "w", encoding="utf-8") as f:
+        with atomic_open(out / "ingest_errors.log") as f:
             for e in errors:
                 f.write(f"line {e.line_no}\t{e.reason}\n")
         click.echo(f"warning: {len(errors)} malformed row(s) skipped, "
@@ -111,7 +113,7 @@ def cmd_build(corpus_path, config_dir, out_path):
     out.parent.mkdir(parents=True, exist_ok=True)
     dictionary.save(d, out)
     if empty_docs:
-        with open(str(out) + ".skipped.log", "w", encoding="utf-8") as f:
+        with atomic_open(str(out) + ".skipped.log") as f:
             for i, title in empty_docs:
                 f.write(f"record {i}\tno tokens after processing\t{title}\n")
         click.echo(f"warning: {len(empty_docs)} document(s) produced no tokens", err=True)
@@ -174,11 +176,11 @@ def cmd_stats(dict_path, fit_range, out_dir):
     cum = lexstats.cumulative(hist)
     tail = lexstats.tail(hist)
 
-    with open(out / "histogram.csv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "histogram.csv") as f:
         f.write("documents,words\n")
         for n in sorted(hist.counts):
             f.write(f"{n},{hist.counts[n]}\n")
-    with open(out / "cumulative.csv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "cumulative.csv") as f:
         f.write("documents,words_at_or_below\n")
         for n, g in cum:
             f.write(f"{n},{g}\n")
@@ -191,18 +193,18 @@ def cmd_stats(dict_path, fit_range, out_dir):
         fit_error = str(e)
         click.echo(f"warning: tail fit skipped ({e})", err=True)
 
-    with open(out / "tail.csv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "tail.csv") as f:
         f.write("documents,words_above,fitted\n")
         for x, n_x in tail.points:
             fitted = f"{fit.beta / x ** fit.alpha:.6f}" if fit else ""
             f.write(f"{x},{n_x},{fitted}\n")
-    with open(out / "tail_loglog.csv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "tail_loglog.csv") as f:
         f.write("documents,words_above,log_documents,log_words_above\n")
         for x, n_x in tail.points:
             if n_x > 0:
                 f.write(f"{x},{n_x},{math.log(x):.9f},{math.log(n_x):.9f}\n")
 
-    with open(out / "pareto_fit.txt", "w", encoding="utf-8") as f:
+    with atomic_open(out / "pareto_fit.txt") as f:
         f.write(f"requested_range\t{fit_range if fit_range else 'full positive tail'}\n")
         if fit:
             f.write(f"alpha\t{fit.alpha:.6f}\n")
@@ -264,30 +266,30 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
 
 
 def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
-    with open(out / "coverage.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "coverage.tsv") as f:
         f.write("headwords\tstems\tcovered\tcoverage_pct\n")
         f.write(f"{report.n_headwords}\t{report.n_stems}\t{report.coverage_count}"
                 f"\t{_fmt_pct(report.coverage_pct)}\n")
         for w in report.missing_words:
             f.write(f"missing\t{w}\n")
-    with open(out / "fragments.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "fragments.tsv") as f:
         f.write("fragment_size\tfound\tpct\tnewly_added\n")
         for k, found, pct, added in report.fragment_table:
             f.write(f"{k}\t{found}\t{_fmt_pct(pct)}\t{', '.join(added)}\n")
-    with open(out / "last_position.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "last_position.tsv") as f:
         f.write("list_fragment\tlast_position\tpct_of_dictionary\n")
         for m, pos, pct in report.last_position_table:
             f.write(f"{m}\t{pos}\t{_fmt_pct(pct)}\n")
-    with open(out / "interval_overlaps.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "interval_overlaps.tsv") as f:
         f.write("width\tintervals\toverlap_pct\n")
         n = len(report.common_words)
         for w, frac in sorted(report.interval_overlaps.items()):
             f.write(f"{w}\t{-(-n // w) if w else 0}\t{_fmt_pct(frac)}\n")
-    with open(out / "top_bottom_overlap.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "top_bottom_overlap.tsv") as f:
         f.write("n\ttop_common\tbottom_common\n")
         for n_ in sorted(report.top_overlap):
             f.write(f"{n_}\t{report.top_overlap[n_]}\t{report.bottom_overlap.get(n_, '')}\n")
-    with open(out / "correlations.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "correlations.tsv") as f:
         f.write("test\tstatistic\n")
         if report.pcc is not None:
             f.write(f"PCC\t{report.pcc:.2f}\n")
@@ -295,7 +297,7 @@ def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
             f.write(f"SRC\t{report.src:.2f}\n")
         if report.pcc_log is not None:
             f.write(f"PCC-log\t{report.pcc_log:.2f}\n")
-    with open(out / "same_rank.tsv", "w", encoding="utf-8") as f:
+    with atomic_open(out / "same_rank.tsv") as f:
         f.write("word\tposition\n")
         for w, pos in report.same_rank_words:
             f.write(f"{w}\t{pos}\n")
@@ -315,7 +317,8 @@ def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
         "interval_overlap_pct": {str(k): round(v * 100, 1)
                                  for k, v in sorted(report.interval_overlaps.items())},
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    with atomic_open(out / "summary.json") as f:
+        f.write(json.dumps(summary, indent=2) + "\n")
 
 
 @cli.command("gen")
@@ -345,7 +348,7 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
         )
         for doc_id, tokens in lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len)
     )
-    with open(out, "w", encoding="utf-8") as f:
+    with atomic_open(out) as f:
         ingest.write_corpus(records, f)
     manifest.write(str(out) + ".manifest.json")
     click.echo(f"{docs} synthetic documents written to {out}")

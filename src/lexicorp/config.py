@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import tables
+from .atomic import atomic_open
 
 # The fixed order of the pipeline steps, hashed into config_hash().
 CANONICAL_STEP_ORDER = (
@@ -55,7 +56,9 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.prefixes:
             raise ValueError("prefix table must not be empty")
-        # Prefixes and substitution keys apply within one token.
+        # Prefixes and substitution keys apply within one token. Every key
+        # holds a "-", so the token memo passes hyphen-free tokens
+        # straight to the stemmer.
         for p in self.prefixes:
             if p != p.lower() or any(map(str.isspace, p)):
                 raise ValueError(f"prefix not lowercase or with whitespace: {p!r}")
@@ -107,6 +110,19 @@ def _read_lines(path: Path) -> list[str]:
     return out
 
 
+def _read_table(path: Path, name: str) -> tuple:
+    lines = _read_lines(path)
+    if name != "substitutions":
+        return tuple(lines)
+    pairs = []
+    for i, line in enumerate(lines, 1):
+        if "\t" not in line:
+            raise InputError(f"{path}:{i}: expected 'key<TAB>value'")
+        k, _, v = line.partition("\t")
+        pairs.append((k.strip(), v.strip()))
+    return tuple(pairs)
+
+
 def load_config(directory: str | os.PathLike | None = None, **overrides) -> PipelineConfig:
     """Build a PipelineConfig from table files in `directory`.
 
@@ -114,7 +130,8 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
     consults the LEXICORP_CONFIG_DIR environment variable and finally the
     defaults. Keyword overrides (min_len, max_len, prune_threshold) are
     applied on top. The order of the pipeline steps is fixed
-    (CANONICAL_STEP_ORDER); steps 3-8 run once per distinct token.
+    (CANONICAL_STEP_ORDER); steps 3-8 run once per distinct token. A
+    table file that fails its check raises InputError naming the file.
     """
     if directory is None:
         directory = os.environ.get(CONFIG_DIR_ENV)
@@ -123,24 +140,15 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
         d = Path(directory)
         if not d.is_dir():
             raise FileNotFoundError(f"config directory not found: {d}")
-        f = d / CONFIG_FILES["prefixes"]
-        if f.exists():
-            kwargs["prefixes"] = tuple(_read_lines(f))
-        f = d / CONFIG_FILES["substitutions"]
-        if f.exists():
-            pairs = []
-            for i, line in enumerate(_read_lines(f), 1):
-                if "\t" not in line:
-                    raise ValueError(f"{f}:{i}: expected 'key<TAB>value'")
-                k, _, v = line.partition("\t")
-                pairs.append((k.strip(), v.strip()))
-            kwargs["substitutions"] = tuple(pairs)
-        f = d / CONFIG_FILES["stop_words"]
-        if f.exists():
-            kwargs["stop_words"] = tuple(_read_lines(f))
-        f = d / CONFIG_FILES["headings"]
-        if f.exists():
-            kwargs["headings"] = tuple(_read_lines(f))
+        for name, filename in CONFIG_FILES.items():
+            f = d / filename
+            if not f.exists():
+                continue
+            kwargs[name] = _read_table(f, name)
+            try:  # the checks of this one table, the others at their defaults
+                PipelineConfig(**{name: kwargs[name]})
+            except ValueError as e:
+                raise InputError(f"{f}: {e}") from None
     kwargs.update(overrides)
     return PipelineConfig(**kwargs)
 
@@ -149,17 +157,16 @@ def dump_config(config: PipelineConfig, directory: str | os.PathLike) -> list[Pa
     """Write the four rule tables as plain-text files; returns the paths."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
+    tables_out = {
+        "prefixes": config.prefixes,
+        "substitutions": (f"{k}\t{v}" for k, v in config.substitutions),
+        "stop_words": config.stop_words,
+        "headings": config.headings,
+    }
     written = []
-    p = d / CONFIG_FILES["prefixes"]
-    p.write_text("\n".join(config.prefixes) + "\n", encoding="utf-8")
-    written.append(p)
-    p = d / CONFIG_FILES["substitutions"]
-    p.write_text("\n".join(f"{k}\t{v}" for k, v in config.substitutions) + "\n", encoding="utf-8")
-    written.append(p)
-    p = d / CONFIG_FILES["stop_words"]
-    p.write_text("\n".join(config.stop_words) + "\n", encoding="utf-8")
-    written.append(p)
-    p = d / CONFIG_FILES["headings"]
-    p.write_text("\n".join(config.headings) + "\n", encoding="utf-8")
-    written.append(p)
+    for name, lines in tables_out.items():
+        p = d / CONFIG_FILES[name]
+        with atomic_open(p) as f:
+            f.write("\n".join(lines) + "\n")
+        written.append(p)
     return written

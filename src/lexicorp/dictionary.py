@@ -10,14 +10,13 @@ once toward its document count.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import gc
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
+from .atomic import atomic_open
 from .config import InputError
 
 
@@ -211,12 +210,5 @@ def load(path) -> Dictionary:
 def save(d: Dictionary, path) -> None:
     """Write `d` to `path` through a temporary file in the same directory,
     so a write that fails part-way leaves any previous file intact."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            serialize(d, f)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as f:
+        serialize(d, f)

@@ -12,7 +12,8 @@ import datetime as _dt
 import hashlib
 import json
 from importlib import metadata
-from pathlib import Path
+
+from .atomic import atomic_open
 
 
 def tool_version() -> str:
@@ -53,4 +54,5 @@ class RunManifest:
             "started": self.started,
             "finished": self.finished,
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        with atomic_open(path) as f:
+            f.write(json.dumps(payload, indent=2) + "\n")

@@ -20,18 +20,32 @@ from .stemmer import stem
 # \w would admit "_", so it is excluded explicitly.
 _PUNCT_RE = re.compile(r"[^\w\-]|_")
 
-# The same mapping for ASCII text, where str.translate beats the regex.
-_ASCII_PUNCT = {c: " " for c in range(128) if _PUNCT_RE.match(chr(c))}
+# _PUNCT_RE as a table over UTF-8 bytes: ASCII punctuation becomes a
+# space and every byte >= 0x80 stays, so non-ASCII characters pass
+# through whole. Deleting the ASCII bytes leaves only those characters.
+_BYTE_PUNCT = bytes(0x20 if c < 0x80 and _PUNCT_RE.match(chr(c)) else c for c in range(256))
+_ASCII_BYTES = bytes(range(0x80))
 
 # A maximal run of digits standing alone as a token.
 _PURE_NUMBER_RE = re.compile(r"(?<!\S)\d+(?!\S)")
 
 
+@lru_cache(maxsize=None)  # at most one entry per code point
+def _is_punct(char: str) -> bool:
+    return _PUNCT_RE.match(char) is not None
+
+
 def strip_punctuation(text: str) -> str:
     """Replace each non-alphanumeric character other than "-" by a space."""
-    if text.isascii():
-        return text.translate(_ASCII_PUNCT)
-    return _PUNCT_RE.sub(" ", text)
+    # surrogatepass round-trips lone surrogates, which are punctuation.
+    raw = text.encode("utf-8", "surrogatepass")
+    out = raw.translate(_BYTE_PUNCT).decode("utf-8", "surrogatepass")
+    if len(raw) != len(text):  # some character took more than one byte
+        rare = raw.translate(None, _ASCII_BYTES).decode("utf-8", "surrogatepass")
+        for char in set(rare):
+            if _is_punct(char):
+                out = out.replace(char, " ")
+    return out
 
 
 def lowercase(text: str) -> str:
@@ -109,8 +123,18 @@ class _TokenMemo(dict):
         return tokenize(strip_numbers(strip_hyphens(text)))
 
     def __missing__(self, token: str) -> tuple[str, ...]:
-        out = self[token] = tuple(remove_stopwords(map(stem, self._text_steps(token)),
-                                                   self.stop_set))
+        # Without a "-", steps 3-6 can only drop a pure number: uniting
+        # needs "<prefix>-", PipelineConfig rejects substitution keys
+        # without "-", and the \d of strip_numbers is exactly what
+        # isdecimal() accepts (Unicode category Nd).
+        if "-" in token:
+            out = tuple(remove_stopwords(map(stem, self._text_steps(token)), self.stop_set))
+        elif token.isdecimal():
+            out = ()
+        else:
+            word = stem(token)
+            out = () if word in self.stop_set else (word,)
+        self[token] = out
         return out
 
 

@@ -86,6 +86,49 @@ class TestIngest:
         assert (out / "ingest_errors.log").exists()
 
 
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    @pytest.mark.parametrize("bounds", [
+        ["--min-len", "600"],                    # above the default --max-len 500
+        ["--min-len", "50", "--max-len", "40"],
+        ["--min-len", "-5"],
+        ["--max-len", "0"],
+    ])
+    def test_bad_length_bounds_are_usage_errors(self, tmp_path, command, bounds, capsys):
+        # the export does not exist: the bounds are refused before any file is read
+        out = tmp_path / "o"
+        rc = main([command, str(tmp_path / "no.tsv"), *bounds, "--out", str(out)])
+        assert rc == 1
+        assert "--min-len" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_substitution_key_without_hyphen_is_input_error(self, export_file, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "cfg"
+        cfg.mkdir()
+        (cfg / "substitutions.tsv").write_text("foo\tbar\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["ingest", str(export_file), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg / "substitutions.tsv") in err and "'foo'" in err
+        assert not out.exists()
+
+    def test_failed_write_keeps_previous_output(self, export_file, tmp_path, monkeypatch):
+        from lexicorp import ingest
+        out = tmp_path / "out"
+        assert main(["ingest", str(export_file), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fail(records, stream):
+            stream.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ingest, "write_corpus", fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["ingest", str(export_file), "--out", str(out)])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestBuildAndPrune:
     def build_fixture(self, tmp_path):
         src = tmp_path / "corpus_src.tsv"
@@ -290,6 +333,15 @@ class TestCompare:
         assert summary["coverage_count"] == 2
         assert summary["src"] is None
 
+    def test_outputs_leave_no_temporary_files(self, tmp_path):
+        dict_path, wl_path = self.make_inputs(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "correlations.tsv", "coverage.tsv", "fragments.tsv", "interval_overlaps.tsv",
+            "last_position.tsv", "manifest.json", "same_rank.tsv", "summary.json",
+            "top_bottom_overlap.tsv"]
+
     def test_empty_word_list_is_input_error(self, tmp_path):
         dict_path, _ = self.make_inputs(tmp_path)
         empty = tmp_path / "empty.csv"
@@ -360,6 +412,16 @@ class TestPipelineCommand:
         for name in ("corpus.tsv", "dictionary.tsv", "dictionary_pruned.tsv"):
             assert (out / name).exists()
         assert (out / "stats" / "histogram.csv").exists()
+
+    def test_outputs_leave_no_temporary_files(self, tmp_path, export_file):
+        out = tmp_path / "run"
+        assert main(["pipeline", str(export_file), "--threshold", "0", "--out", str(out)]) == 0
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+            "corpus.tsv", "dictionary.tsv", "dictionary.tsv.manifest.json",
+            "dictionary_pruned.tsv", "dictionary_pruned.tsv.manifest.json",
+            "ingest_report.tsv", "lengths.csv", "manifest.json", "stats",
+            "stats/cumulative.csv", "stats/histogram.csv", "stats/manifest.json",
+            "stats/pareto_fit.txt", "stats/tail.csv", "stats/tail_loglog.csv"]
 
     def test_usage_error_on_no_command(self):
         assert main([]) == 1

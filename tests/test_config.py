@@ -3,6 +3,7 @@ import pytest
 from lexicorp import pipeline as pl
 from lexicorp.config import (
     CONFIG_DIR_ENV,
+    InputError,
     PipelineConfig,
     default_config,
     dump_config,
@@ -75,3 +76,19 @@ def test_overrides_apply(tmp_path):
 def test_default_hash_is_pinned():
     # Dictionary headers carry this hash; it must not drift.
     assert default_config().config_hash() == "29990439226b"
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("substitutions.tsv", "foo\tbar\n", "without '-'"),
+    ("substitutions.tsv", "no-tab-here\n", "key<TAB>value"),
+    ("prefixes.txt", "# only a comment\n", "must not be empty"),
+    ("prefixes.txt", "Anti\n", "not lowercase"),
+    ("stopwords.txt", "The\n", "not lowercase"),
+])
+def test_bad_table_is_input_error_naming_the_file(tmp_path, name, content, message):
+    # A substitution key without "-" must be refused: the token memo passes
+    # hyphen-free tokens straight to the stemmer.
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    with pytest.raises(InputError, match=message) as info:
+        load_config(tmp_path)
+    assert str(tmp_path / name) in str(info.value)

@@ -206,6 +206,41 @@ def test_config_validation():
 
 # Differential tests against the whole-text pipeline in pipeline_reference.
 
+# Any code point, lone surrogates included, with the non-ASCII characters
+# of real abstracts made common.
+ANY_TEXT = st.text(st.one_of(st.characters(blacklist_categories=[]),
+                             st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+                             st.sampled_from("µ°–’…é_- .,;")), max_size=200)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ANY_TEXT)
+def test_strip_punctuation_matches_reference(text):
+    assert pl.strip_punctuation(text) == ref.strip_punctuation(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_TEXT)
+def test_matches_reference_on_text_with_surrogates(text):
+    assert pl.process_document(text) == ref.process_document(text)
+
+
+def test_isdecimal_is_the_digit_class():
+    # The memo drops a hyphen-free token as a number iff isdecimal();
+    # strip_numbers drops it iff it is all \d. Both mean category Nd.
+    import re
+    digit = re.compile(r"\d").fullmatch
+    assert [c for c in map(chr, range(0x110000)) if c.isdecimal() != bool(digit(c))] == []
+
+
+@pytest.mark.parametrize("token", [
+    "42", "\u0661\u0662", "²", "co2", "21st", "the", "studies", "café", "x-ray",
+    "anti-42", "42-", "-", "chi-square", "ex-president",
+])
+def test_memo_entry_matches_reference(token):
+    cfg = PipelineConfig()
+    assert pl._token_memo(cfg)[token] == tuple(ref.process_document(token, cfg))
+
 def test_processed_stop_set_matches_reference():
     assert pl.processed_stop_set(CFG) == ref.processed_stop_set(CFG)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lexicorp.stemmer import _porter2, stem
 
+import stemmer_reference as before
 from porter2_reference import EnglishStemmer
 
 reference = EnglishStemmer().stem
@@ -83,3 +84,50 @@ def test_agreement_with_reference_on_random_words(word):
 @given(st.text(alphabet="aeiouybcdlstz", min_size=1, max_size=8))
 def test_agreement_on_vowel_heavy_words(word):
     assert _porter2(word) == reference(word)
+
+
+# Differential tests against the ungated stemmer in stemmer_reference.
+
+def test_matches_stemmer_reference_on_whole_fixture(stem_vocab_pairs):
+    assert len(stem_vocab_pairs) == 29_341
+    mismatches = [(w, _porter2(w), before._porter2(w), expected)
+                  for w, expected in stem_vocab_pairs
+                  if not _porter2(w) == before._porter2(w) == expected]
+    assert mismatches == []
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789'", min_size=1, max_size=20))
+def test_matches_stemmer_reference_on_alphanumeric_words(word):
+    assert _porter2(word) == before._porter2(word)
+
+
+# A third of the letters are y, so that runs of y test the consonant marking.
+Y_HEAVY = st.text(alphabet=st.sampled_from("yyyyyyyyaeioubcdlnstz'’‘‛"),
+                  min_size=1, max_size=14)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(Y_HEAVY)
+def test_matches_stemmer_reference_on_y_heavy_words(word):
+    assert _porter2(word) == before._porter2(word)
+
+
+@pytest.mark.parametrize("word", ["yyy", "ayyy", "yay", "sayyid", "buoyancy", "'yes's'",
+                                  "’tis", "boy’s", "generously", "communalism", "arsenals"])
+def test_matches_stemmer_reference_on_edge_words(word):
+    assert _porter2(word) == before._porter2(word)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(max_size=20))
+def test_stem_matches_stemmer_reference(token):
+    assert stem(token) == before.stem(token)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(min_size=1, max_size=12), st.one_of(st.characters(min_codepoint=48, max_codepoint=57),
+                                                  st.characters(min_codepoint=128)))
+def test_digit_or_non_ascii_tokens_pass_through(text, char):
+    token = text + char
+    assert stem(token) == token
