@@ -11,14 +11,16 @@ from typing import IO, Iterator
 def atomic_open(path) -> Iterator[IO[str]]:
     """Open `path` for writing UTF-8 text through `<path>.tmp`.
 
-    The temporary file is renamed over `path` when the block ends, so a
-    write that fails part-way leaves any previous file intact and no
-    temporary file behind.
+    The temporary file is flushed to disk and renamed over `path` when the
+    block ends, so a write that fails part-way leaves any previous file
+    intact and no temporary file behind.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -7,6 +7,7 @@ Exit codes: 0 success (warnings allowed), 1 usage error, 2 input error,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -58,22 +59,28 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
     manifest = RunManifest(sys.argv[1:] or ["ingest"], cfg.config_hash())
     manifest.add_input(input_path)
 
-    with open(input_path, encoding="utf-8") as f:
-        docs, report, errors = ingest.run_ingest(f, cfg)
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out / "corpus.tsv") as f:
-        ingest.write_corpus(docs, f)
-    counts, mean = ingest.length_histogram(docs)
+    with open(input_path, encoding="utf-8") as f:
+        created = [d for d in (out, *out.parents) if not d.exists()]
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            with atomic_open(out / "corpus.tsv") as corpus:
+                lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
+        except BaseException:
+            # atomic_open removed its temporary file, so these are empty again.
+            for d in created:
+                with contextlib.suppress(OSError):
+                    d.rmdir()
+            raise
     with atomic_open(out / "ingest_report.tsv") as f:
         ingest.write_report(report, f)
-        if mean is not None:
+        if lengths:
+            mean = sum(n * k for n, k in lengths.items()) / report.n_after_length_filter
             f.write(f"mean_length\t{mean:.3f}\n")
     with atomic_open(out / "lengths.csv") as f:
         f.write("length,documents\n")
-        for length in sorted(counts):
-            f.write(f"{length},{counts[length]}\n")
+        for length in sorted(lengths):
+            f.write(f"{length},{lengths[length]}\n")
     if errors:
         with atomic_open(out / "ingest_errors.log") as f:
             for e in errors:
@@ -403,8 +410,7 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError,
-            UnicodeDecodeError, InputError) as e:
+    except (OSError, UnicodeDecodeError, InputError) as e:
         click.echo(f"input error: {e}", err=True)
         return 2
     except (ValueError, ArithmeticError) as e:

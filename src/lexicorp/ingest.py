@@ -4,7 +4,7 @@ Cleaning takes each record through four steps in one pass: parse its
 line, drop it when it has no abstract or no categories, split
 section-heading words that the export glued onto the following word
 ("ConclusionHigher"), and keep it only when its abstract length falls
-within the configured bounds. No step holds more than the kept documents.
+within the configured bounds. Each kept record is written once cleaned.
 """
 
 from __future__ import annotations
@@ -69,13 +69,6 @@ class RawRecord:
     research_areas: list[str] = field(default_factory=list)
     total_times_cited: int = 0
     times_cited_core: int = 0
-
-
-@dataclass
-class Document(RawRecord):
-    """A retained record, with its abstract's whitespace word count."""
-
-    word_count: int = 0
 
 
 @dataclass
@@ -176,56 +169,52 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def length_histogram(docs: list[Document]) -> tuple[dict[int, int], float | None]:
-    """Exact word-count histogram plus the mean length (None when empty)."""
-    counts: dict[int, int] = {}
-    total = 0
-    for d in docs:
-        counts[d.word_count] = counts.get(d.word_count, 0) + 1
-        total += d.word_count
-    mean = total / len(docs) if docs else None
-    return counts, mean
-
-
 def run_ingest(
     stream: Iterable[str] | IO[str],
+    out: IO[str],
     config: PipelineConfig | None = None,
-) -> tuple[list[Document], IngestReport, list[ParseError]]:
+) -> tuple[dict[int, int], IngestReport, list[ParseError]]:
     """Clean an export one record at a time: field filter, heading split, length filter.
 
-    Returns the kept documents in record order, the stage counts and the
+    Writes each kept record to `out` as soon as it is cleaned and returns
+    the kept word counts ({words: documents}), the stage counts and the
     parse errors. Records with more than 6 categories are kept; one
     warning per call gives their number and the first 5 titles.
     """
     config = config or default_config()
     forms = config.heading_forms
     report = IngestReport()
-    docs: list[Document] = []
+    lengths: dict[int, int] = {}
     errors: list[ParseError] = []
     crowded: list[str] = []
     n_crowded = 0
-    for r in parse_records(stream):
-        if isinstance(r, ParseError):
-            errors.append(r)
-            continue
-        report.n_parsed += 1
-        if not r.abstract.strip() or not r.categories:
-            continue
-        report.n_after_field_filter += 1
-        if len(r.categories) > 6:
-            n_crowded += 1
-            if len(crowded) < 5:
-                crowded.append(r.title[:40])
-        r.abstract, n_splits = split_concatenated_headings(r.abstract, forms)
-        report.n_headings_split += n_splits
-        n_words = word_count(r.abstract)
-        if config.min_len <= n_words <= config.max_len:
-            docs.append(Document(**vars(r), word_count=n_words))
-    report.n_after_length_filter = len(docs)
+
+    def kept() -> Iterator[RawRecord]:
+        nonlocal n_crowded
+        for r in parse_records(stream):
+            if isinstance(r, ParseError):
+                errors.append(r)
+                continue
+            report.n_parsed += 1
+            if not r.abstract.strip() or not r.categories:
+                continue
+            report.n_after_field_filter += 1
+            if len(r.categories) > 6:
+                n_crowded += 1
+                if len(crowded) < 5:
+                    crowded.append(r.title[:40])
+            r.abstract, n_splits = split_concatenated_headings(r.abstract, forms)
+            report.n_headings_split += n_splits
+            n_words = word_count(r.abstract)
+            if config.min_len <= n_words <= config.max_len:
+                lengths[n_words] = lengths.get(n_words, 0) + 1
+                yield r
+
+    report.n_after_length_filter = write_corpus(kept(), out)
     if n_crowded:
         logger.warning("%d record(s) have more than 6 categories (kept); first titles: %s",
                        n_crowded, ", ".join(map(repr, crowded)))
-    return docs, report, errors
+    return lengths, report, errors
 
 
 def format_record(record: RawRecord) -> str:

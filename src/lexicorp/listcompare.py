@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .config import InputError
 from .dictionary import Dictionary
 from .stemmer import stem
 
@@ -80,7 +82,8 @@ def read_word_list(stream: IO[str]) -> ExternalWordList:
     """Read a "headword,sfi[,u,d]" CSV; a header row is detected and skipped.
 
     Files without a numeric second column yield entries with sfi=None;
-    downstream rank analyses are then skipped with a warning.
+    downstream rank analyses are then skipped with a warning. A nan or
+    infinite sfi, u or d value raises `InputError`.
     """
     entries = []
     for row_no, row in enumerate(csv.reader(stream), 1):
@@ -92,9 +95,13 @@ def read_word_list(stream: IO[str]) -> ExternalWordList:
             looks_numeric = any(_is_number(c) for c in rest if c)
             if (rest and not looks_numeric) or head in ("headword", "word", "lemma"):
                 continue  # header row
-        sfi = _parse_float(rest[0]) if len(rest) >= 1 else None
-        u = _parse_float(rest[1]) if len(rest) >= 2 else None
-        d = _parse_float(rest[2]) if len(rest) >= 3 else None
+        values = []
+        for i, column in enumerate(("sfi", "u", "d")):
+            value = _parse_float(rest[i]) if len(rest) > i else None
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"row {row_no}: {column} {rest[i]!r} is not a finite number")
+            values.append(value)
+        sfi, u, d = values
         if sfi is not None and not 0 <= sfi <= 100:
             logger.warning("row %d: frequency index %.3f outside [0, 100]", row_no, sfi)
         if d is not None and not 0 <= d <= 1:

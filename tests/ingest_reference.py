@@ -1,7 +1,8 @@
 """The ingest stages as they were before records streamed through one
 loop: `parse_records` returns the list of every record plus an error
 list, and `run_ingest` runs the field filter, the heading split and the
-length filter as separate passes, each building a full list. Kept as the
+length filter as separate passes, each building a full list of
+`Document`s, which `length_histogram` then walks once more. Kept as the
 oracle that tests/test_ingest.py checks the streaming `run_ingest`
 against.
 """
@@ -9,13 +10,13 @@ against.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 from lexicorp.config import InputError, PipelineConfig, default_config
 from lexicorp.ingest import (
     _INT_FIELDS,
     _LIST_FIELDS,
-    Document,
     IngestReport,
     ParseError,
     RawRecord,
@@ -25,6 +26,24 @@ from lexicorp.ingest import (
 )
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass
+class Document(RawRecord):
+    """A retained record, with its abstract's whitespace word count."""
+
+    word_count: int = 0
+
+
+def length_histogram(docs: list[Document]) -> tuple[dict[int, int], float | None]:
+    """Exact word-count histogram plus the mean length (None when empty)."""
+    counts: dict[int, int] = {}
+    total = 0
+    for d in docs:
+        counts[d.word_count] = counts.get(d.word_count, 0) + 1
+        total += d.word_count
+    mean = total / len(docs) if docs else None
+    return counts, mean
 
 
 def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], list[ParseError]]:

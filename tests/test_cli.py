@@ -24,6 +24,7 @@ class TestIngest:
         assert report["n_after_field_filter"] == "4"
         assert report["n_after_length_filter"] == "3"
         assert report["n_headings_split"] == "1"
+        assert report["mean_length"] == "92.667"  # (35 + 200 + 43) / 3
         corpus_lines = read(out / "corpus.tsv").splitlines()
         assert len(corpus_lines) == 4  # header + 3 docs
         assert (out / "manifest.json").exists()
@@ -113,7 +114,8 @@ class TestIngest:
         assert str(cfg / "substitutions.tsv") in err and "'foo'" in err
         assert not out.exists()
 
-    def test_failed_write_keeps_previous_output(self, export_file, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_output(self, export_file, tmp_path, monkeypatch,
+                                                capsys):
         from lexicorp import ingest
         out = tmp_path / "out"
         assert main(["ingest", str(export_file), "--out", str(out)]) == 0
@@ -124,9 +126,29 @@ class TestIngest:
             raise OSError("disk full")
 
         monkeypatch.setattr(ingest, "write_corpus", fail)
-        with pytest.raises(OSError, match="disk full"):
-            main(["ingest", str(export_file), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["ingest", str(export_file), "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_out_below_a_regular_file_is_input_error(self, export_file, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("x", encoding="utf-8")
+        assert main(["ingest", str(export_file), "--out", str(afile / "sub")]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "x"
+
+    def test_decode_error_leaves_no_new_directory(self, tmp_path, capsys):
+        src = tmp_path / "export.tsv"
+        line = "A\tT\t" + "word " * 40 + "\tP\tS\t0\t0\n"
+        # The bad byte comes after many kept records, so some are written first.
+        src.write_bytes(("AU\tTI\tAB\tWC\tSC\tZ9\tTC\n" + line * 500).encode()
+                        + b"A\tT\tbad \xff byte\tP\tS\t0\t0\n")
+        out = tmp_path / "a" / "b"
+        assert main(["ingest", str(src), "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert not list(tmp_path.rglob("corpus.tsv*"))
 
 
 class TestBuildAndPrune:
@@ -322,6 +344,15 @@ class TestCompare:
         assert summary["interval_overlap_pct"]["6"] == 100.0
         assert (out / "correlations.tsv").exists()
         assert "c\t3" in read(out / "same_rank.tsv")
+
+    @pytest.mark.parametrize("sfi", ["nan", "-inf", "1e999"])
+    def test_non_finite_sfi_is_input_error(self, tmp_path, sfi, capsys):
+        dict_path, wl_path = self.make_inputs(tmp_path)
+        wl_path.write_text(f"headword,sfi\nb,90\na,{sfi}\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 2
+        assert "row 3: sfi" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_missing_sfi_column_still_covers(self, tmp_path, caplog):
         dict_path, _ = self.make_inputs(tmp_path)

@@ -1,4 +1,6 @@
 import io
+import os
+import tracemalloc
 
 import ingest_reference as reference
 import pytest
@@ -20,11 +22,25 @@ def parse(text):
             [e for e in items if isinstance(e, ingest.ParseError)])
 
 
+def run(text, config=CFG):
+    """run_ingest over an export text: the corpus it writes, lengths, report and errors."""
+    out = io.StringIO()
+    lengths, report, errors = ingest.run_ingest(io.StringIO(text), out, config)
+    return out.getvalue(), lengths, report, errors
+
+
 def ingest_records(records, config=CFG):
-    """run_ingest over an export holding `records`, one line each."""
+    """run_ingest over an export holding `records`, one line each.
+
+    Returns the kept records as read back from the corpus written, the
+    report and the lengths.
+    """
     text = ingest.corpus_header() + "\n" + "".join(ingest.format_record(r) + "\n"
                                                    for r in records)
-    return ingest.run_ingest(io.StringIO(text), config)
+    corpus, lengths, report, _ = run(text, config)
+    kept, errors = parse(corpus)
+    assert not errors
+    return kept, report, lengths
 
 
 HEADER = "AU\tTI\tAB\tWC\tSC\tZ9\tTC\n"
@@ -115,8 +131,9 @@ class TestFilterInvalid:
     def test_valid_kept_in_order(self):
         rs = [ingest.RawRecord(title=f"T{i}", abstract=f"t{i}", categories=["C"])
               for i in range(3)]
-        docs, report, _ = ingest_records(rs, LOOSE)
-        assert docs == [ingest.Document(**vars(r), word_count=1) for r in rs]
+        docs, report, lengths = ingest_records(rs, LOOSE)
+        assert docs == rs
+        assert lengths == {1: 3}
         assert report.n_after_field_filter == 3
 
     def test_idempotent(self):
@@ -202,10 +219,10 @@ class TestFilterByLength:
 
     def test_idempotent_and_partition(self):
         lengths = (1, 29, 30, 100, 500, 501, 900)
-        kept, report, _ = ingest_records([self.make(n) for n in lengths])
+        kept, report, kept_lengths = ingest_records([self.make(n) for n in lengths])
         again, _, _ = ingest_records(kept)
         assert again == kept
-        assert [d.word_count for d in kept] == [30, 100, 500]
+        assert kept_lengths == {30: 1, 100: 1, 500: 1}
         below = sum(1 for n in lengths if n < 30)
         above = sum(1 for n in lengths if n > 500)
         assert report.n_after_field_filter == len(lengths)
@@ -214,31 +231,32 @@ class TestFilterByLength:
 
 class TestLengthHistogram:
     def test_basic(self):
-        docs = [ingest.Document(word_count=n) for n in (3, 3, 5)]
-        counts, mean = ingest.length_histogram(docs)
-        assert counts == {3: 2, 5: 1}
-        assert mean == pytest.approx(11 / 3)
+        rs = [ingest.RawRecord(abstract="w " * n, categories=["C"]) for n in (3, 3, 5, 600)]
+        _, _, lengths = ingest_records(rs, LOOSE)
+        assert lengths == {3: 2, 5: 1}
 
     def test_empty(self):
-        counts, mean = ingest.length_histogram([])
-        assert counts == {} and mean is None
+        _, _, lengths = ingest_records([])
+        assert lengths == {}
 
 
 class TestRunIngest:
     def test_five_row_fixture(self, export_file):
         with open(export_file, encoding="utf-8") as f:
-            docs, report, errors = ingest.run_ingest(f)
+            corpus, lengths, report, errors = run(f.read())
         assert report.n_parsed == 5
         assert report.n_after_field_filter == 4
         assert report.n_after_length_filter == 3
         assert report.n_headings_split == 1
         assert not errors
+        docs, _ = parse(corpus)
         assert len(docs) == 3
         assert docs[2].abstract.startswith("Conclusion Higher")
+        assert lengths == {35: 1, 200: 1, 43: 1}
 
     def test_counts_monotone(self, export_file):
         with open(export_file, encoding="utf-8") as f:
-            _, report, _ = ingest.run_ingest(f)
+            _, _, report, _ = run(f.read())
         assert report.n_parsed >= report.n_after_field_filter >= report.n_after_length_filter
 
 
@@ -325,18 +343,52 @@ def exports(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
-def run_or_error(run, text):
+def run_or_error(text):
     try:
-        return run(io.StringIO(text), CFG)
+        return run(text)
     except InputError as e:
         return type(e), str(e)
+
+
+def reference_or_error(text):
+    """The reference's documents as `write_corpus` writes them, lengths, report, errors."""
+    try:
+        docs, report, errors = reference.run_ingest(io.StringIO(text), CFG)
+    except InputError as e:
+        return type(e), str(e)
+    out = io.StringIO()
+    ingest.write_corpus(docs, out)
+    lengths, _ = reference.length_histogram(docs)
+    return out.getvalue(), lengths, report, errors
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=exports())
 def test_run_ingest_matches_reference(text):
-    assert run_or_error(ingest.run_ingest, text) == run_or_error(reference.run_ingest, text)
+    assert run_or_error(text) == reference_or_error(text)
 
 
 def test_empty_export_matches_reference():
-    assert run_or_error(ingest.run_ingest, "") == run_or_error(reference.run_ingest, "")
+    assert run_or_error("") == reference_or_error("")
+
+
+def test_memory_does_not_grow_with_record_count():
+    def export(n):
+        yield HEADER
+        for i in range(n):
+            yield f"Smith, J\tTitle {i}\t{'word ' * 40}\tPhysics\tScience\t3\t2\n"
+
+    def peak(n):
+        with open(os.devnull, "w", encoding="utf-8") as out:
+            tracemalloc.start()
+            try:
+                _, report, _ = ingest.run_ingest(export(n), out)
+                assert report.n_after_length_filter == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(10)  # compiled patterns and other one-off caches
+    small, large = peak(2_000), peak(8_000)
+    # Holding the kept records would make `large` about 4 times `small`.
+    assert large < 1.5 * small + 256 * 1024

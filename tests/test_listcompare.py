@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import compare_reference as ref
 from lexicorp import listcompare as lc
+from lexicorp.config import InputError
 from lexicorp.dictionary import DictEntry, Dictionary
 
 
@@ -78,6 +79,17 @@ class TestReadWordList:
     def test_no_sfi_column(self):
         wl = lc.read_word_list(io.StringIO("word\nfoo\nbar\n"))
         assert len(wl) == 2 and all(e.sfi is None for e in wl.entries)
+
+    @pytest.mark.parametrize("text,where", [
+        ("foo,nan\n", "row 1: sfi 'nan'"),
+        ("foo,50\nbar,NaN,1,0.5\n", "row 2: sfi 'NaN'"),
+        ("foo,50,inf,0.5\n", "row 1: u 'inf'"),
+        ("headword,sfi,u,d\nfoo,50,1,1e999\n", "row 2: d '1e999'"),
+        ("foo,-Infinity\n", "row 1: sfi '-Infinity'"),
+    ])
+    def test_non_finite_values_are_input_errors(self, text, where):
+        with pytest.raises(InputError, match=where):
+            lc.read_word_list(io.StringIO(text))
 
     def test_out_of_range_values_warn(self, caplog):
         with caplog.at_level("WARNING"):
