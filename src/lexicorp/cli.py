@@ -258,7 +258,7 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     manifest.add_input(dict_path)
     manifest.add_input(wordlist_path)
     d = dictionary.load(dict_path)
-    with open(wordlist_path, encoding="utf-8") as f:
+    with open(wordlist_path, encoding="utf-8-sig") as f:
         raw_list = listcompare.read_word_list(f)
     if not len(raw_list):
         raise InputError("empty word list")

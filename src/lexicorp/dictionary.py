@@ -9,15 +9,25 @@ once toward its document count.
 
 from __future__ import annotations
 
-import bisect
-import gc
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import IO, Iterable, NamedTuple
+
+import numpy as np
 
 from .atomic import atomic_open
 from .config import InputError
+
+# Characters `deserialize` reads at a time; each chunk is then extended to
+# the end of its last line. Reading the whole body at once holds the text
+# and all its cells at the same time: loading a 300k-row file then peaked
+# at 91 MiB RSS instead of 75 MiB.
+_CHUNK_CHARS = 1 << 19
+# Rows `serialize` formats into one string per write.
+_ROWS_PER_WRITE = 1 << 14
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class DictionaryFormatError(InputError):
@@ -41,46 +51,76 @@ class Provenance:
     threshold: int = 0
 
 
-_SORT_KEY = lambda e: (-e.doc_count, -e.corpus_count, e.word)
-
-
 class Dictionary:
-    """An ordered list of (word, doc_count, corpus_count) entries."""
+    """Words in canonical order with their counts, held as three columns:
+    the words (a list, copied by `words()`) and the read-only int64 arrays
+    `doc` and `corpus`. `entries` builds the rows from them on access."""
 
     def __init__(self, entries: Iterable[DictEntry], provenance: Provenance = Provenance()):
-        self.entries = sorted(entries, key=_SORT_KEY)
+        entries = list(entries)
+        self._set(*_canonical([e[0] for e in entries],
+                              np.array([e[1] for e in entries], dtype=np.int64),
+                              np.array([e[2] for e in entries], dtype=np.int64)), provenance)
+
+    @classmethod
+    def _of_columns(cls, words: list[str], doc: np.ndarray, corpus: np.ndarray,
+                    provenance: Provenance) -> Dictionary:
+        """Wrap columns already in canonical order."""
+        d = cls.__new__(cls)
+        d._set(words, doc, corpus, provenance)
+        return d
+
+    def _set(self, words, doc, corpus, provenance) -> None:
+        doc.flags.writeable = corpus.flags.writeable = False
+        self._words, self.doc, self.corpus = words, doc, corpus
         self.provenance = provenance
         self._rank: dict[str, int] | None = None
 
-    @classmethod
-    def _of_canonical(cls, entries: list[DictEntry], provenance: Provenance) -> Dictionary:
-        """Wrap entries already in canonical order without sorting them again."""
-        d = cls([], provenance)
-        d.entries = entries
-        return d
+    @property
+    def entries(self) -> list[DictEntry]:
+        """The rows as `DictEntry` tuples, built afresh on each access."""
+        return list(map(DictEntry._make,
+                        zip(self._words, self.doc.tolist(), self.corpus.tolist())))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._words)
 
     def __contains__(self, word: str) -> bool:
         return word in self.ranks()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Dictionary)
-                and self.entries == other.entries
+                and self._words == other._words
+                and np.array_equal(self.doc, other.doc)
+                and np.array_equal(self.corpus, other.corpus)
                 and self.provenance == other.provenance)
 
     def words(self) -> list[str]:
-        return [e.word for e in self.entries]
+        return list(self._words)
 
     def ranks(self) -> dict[str, int]:
         """word -> 1-based rank in canonical order (cached)."""
         if self._rank is None:
-            self._rank = {e.word: i for i, e in enumerate(self.entries, 1)}
+            self._rank = dict(zip(self._words, range(1, len(self._words) + 1)))
         return self._rank
 
     def doc_counts(self) -> dict[str, int]:
-        return {e.word: e.doc_count for e in self.entries}
+        return dict(zip(self._words, self.doc.tolist()))
+
+
+def _canonical(words: list[str], doc: np.ndarray, corpus: np.ndarray):
+    """The three columns sorted into canonical order: by word, then by a
+    stable sort on descending doc and corpus counts."""
+    by_word = np.array(sorted(range(len(words)), key=words.__getitem__), dtype=np.intp)
+    order = by_word[np.lexsort((-corpus[by_word], -doc[by_word]))]
+    return list(map(words.__getitem__, order.tolist())), doc[order], corpus[order]
+
+
+def _from_counts(doc_counts: Counter, corpus_counts: Counter, provenance: Provenance) -> Dictionary:
+    words = list(corpus_counts)
+    doc = np.fromiter(map(doc_counts.__getitem__, words), np.int64, len(words))
+    corpus = np.fromiter(corpus_counts.values(), np.int64, len(words))
+    return Dictionary._of_columns(*_canonical(words, doc, corpus), provenance)
 
 
 def build(
@@ -94,8 +134,7 @@ def build(
     for _, tokens in token_lists:
         corpus_counts.update(tokens)
         doc_counts.update(set(tokens))
-    entries = [DictEntry(w, doc_counts[w], c) for w, c in corpus_counts.items()]
-    return Dictionary(entries, Provenance(corpus_id, config_hash, threshold=0))
+    return _from_counts(doc_counts, corpus_counts, Provenance(corpus_id, config_hash, threshold=0))
 
 
 def merge(a: Dictionary, b: Dictionary) -> Dictionary:
@@ -103,19 +142,23 @@ def merge(a: Dictionary, b: Dictionary) -> Dictionary:
 
     Counts are summed per word, so merge(build(X), build(Y)) equals
     build(X + Y) whenever X and Y share no documents. Dictionaries built
-    under different configs count different things and are refused.
+    under different configs count different things, and a pruned
+    dictionary has lost the counts of the words it dropped, so both are
+    refused.
     """
     if a.provenance.config_hash != b.provenance.config_hash:
         raise ValueError(f"cannot merge dictionaries of configs "
                          f"{a.provenance.config_hash!r} and {b.provenance.config_hash!r}")
+    for d in (a, b):
+        if d.provenance.threshold > 0:
+            raise ValueError(f"cannot merge a dictionary pruned at threshold "
+                             f"{d.provenance.threshold}: its dropped words' counts are lost")
     doc_counts: Counter = Counter()
     corpus_counts: Counter = Counter()
     for d in (a, b):
-        for e in d.entries:
-            doc_counts[e.word] += e.doc_count
-            corpus_counts[e.word] += e.corpus_count
-    entries = [DictEntry(w, doc_counts[w], corpus_counts[w]) for w in corpus_counts]
-    return Dictionary(entries, a.provenance)
+        doc_counts.update(d.doc_counts())
+        corpus_counts.update(dict(zip(d._words, d.corpus.tolist())))
+    return _from_counts(doc_counts, corpus_counts, a.provenance)
 
 
 def prune(d: Dictionary, threshold: int) -> Dictionary:
@@ -124,10 +167,10 @@ def prune(d: Dictionary, threshold: int) -> Dictionary:
         raise ValueError("threshold must be non-negative")
     # Doc counts never increase along the canonical order, so the kept
     # entries are a prefix of it.
-    keep = bisect.bisect_left(d.entries, -threshold, key=lambda e: -e.doc_count)
+    keep = int(np.count_nonzero(d.doc > threshold))
     prov = Provenance(d.provenance.corpus_id, d.provenance.config_hash,
                       max(threshold, d.provenance.threshold))
-    return Dictionary._of_canonical(d.entries[:keep], prov)
+    return Dictionary._of_columns(d._words[:keep], d.doc[:keep], d.corpus[:keep], prov)
 
 
 _HEADER_RE = re.compile(
@@ -142,15 +185,114 @@ def serialize(d: Dictionary, stream: IO[str]) -> None:
     if p.corpus_id:
         header += f" corpus={p.corpus_id}"
     stream.write(header + "\n")
-    for e in d.entries:
-        stream.write(f"{e.word}\t{e.doc_count}\t{e.corpus_count}\n")
+    for i in range(0, len(d), _ROWS_PER_WRITE):
+        j = i + _ROWS_PER_WRITE
+        stream.write("".join([f"{w}\t{dc}\t{cc}\n" for w, dc, cc in
+                              zip(d._words[i:j], d.doc[i:j].tolist(), d.corpus[i:j].tolist())]))
+
+
+def _parse_rows(lines: list[str], line_no: int, seen: set[str]):
+    """Check and parse `lines`, the first of them line `line_no`, row by
+    row, adding each word to `seen`; raises on the first bad row.
+    Returns the (words, doc, corpus) columns."""
+    words, docs, corpora = [], [], []
+    for line_no, line in enumerate(lines, line_no):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != 3:
+            raise DictionaryFormatError(line_no, f"expected 3 columns, got {len(cells)}")
+        word, doc_s, corpus_s = cells
+        try:
+            # int() ignores surrounding whitespace, a trailing "\r" included.
+            doc_count, corpus_count = int(doc_s), int(corpus_s)
+        except ValueError:
+            raise DictionaryFormatError(line_no, f"non-integer count in {line!r}") from None
+        if not word or doc_count < 1 or corpus_count < doc_count:
+            raise DictionaryFormatError(line_no, f"invalid entry {line!r}")
+        if corpus_count > _INT64_MAX:
+            raise DictionaryFormatError(line_no, f"count out of range (above 2**63 - 1) in {line!r}")
+        if word in seen:
+            raise DictionaryFormatError(line_no, f"duplicate word {word!r}")
+        seen.add(word)
+        words.append(word)
+        docs.append(doc_count)
+        corpora.append(corpus_count)
+    return words, np.array(docs, dtype=np.int64), np.array(corpora, dtype=np.int64)
+
+
+def _parse_chunk(chunk: str):
+    """The (words, doc, corpus) columns of `chunk`, whole lines each ending
+    in "\\n", if every line is a well formed row; else None. Repeated words
+    are not checked here."""
+    # UTF-8 keeps "\t" and "\n" as single bytes found nowhere else, so
+    # every line holds three cells exactly when the tabs and newlines come
+    # as tab, tab, newline throughout.
+    code = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = code[(code == 9) | (code == 10)]
+    if (len(seps) % 3 or (seps.reshape(-1, 3) != (9, 9, 10)).any()
+            or chunk.startswith("\t") or "\n\t" in chunk):
+        return None
+    cells = chunk.replace("\n", "\t").split("\t")
+    cells.pop()
+    n = len(cells) // 3
+    try:
+        doc = np.fromiter(map(int, cells[1::3]), np.int64, n)
+        corpus = np.fromiter(map(int, cells[2::3]), np.int64, n)
+    except (ValueError, OverflowError):
+        return None
+    if not ((doc >= 1).all() and (corpus >= doc).all()):
+        return None
+    return cells[0::3], doc, corpus
+
+
+def _read_body(stream: IO[str]):
+    """The (words, doc, corpus) columns of the rows after the header line."""
+    words: list[str] = []
+    docs: list[np.ndarray] = [np.zeros(0, np.int64)]
+    corpora: list[np.ndarray] = [np.zeros(0, np.int64)]
+    seen: set[str] = set()
+    line_no = 2
+    while chunk := stream.read(_CHUNK_CHARS):
+        if not chunk.endswith("\n"):
+            chunk += stream.readline()
+            if not chunk.endswith("\n"):  # the last line, without its newline
+                chunk += "\n"
+        parsed = _parse_chunk(chunk)
+        if parsed is not None:
+            size = len(seen)
+            seen.update(parsed[0])
+            if len(seen) != size + len(parsed[0]):
+                # A repeated word. Restore `seen` to the words before this
+                # chunk, so that the row loop finds the first repeat.
+                seen = set(words)
+                parsed = None
+        if parsed is None:
+            parsed = _parse_rows(chunk.split("\n")[:-1], line_no, seen)
+        words += parsed[0]
+        docs.append(parsed[1])
+        corpora.append(parsed[2])
+        line_no += chunk.count("\n")
+    return words, np.concatenate(docs), np.concatenate(corpora)
+
+
+def _in_canonical_order(words: list[str], doc: np.ndarray, corpus: np.ndarray) -> bool:
+    """Whether the rows, of distinct words, are in canonical order."""
+    doc_step, corpus_step = np.diff(doc), np.diff(corpus)
+    if (doc_step > 0).any() or ((doc_step == 0) & (corpus_step > 0)).any():
+        return False
+    tie = ((doc_step == 0) & (corpus_step == 0)).tolist()
+    return all(map(str.__lt__, compress(words, tie), compress(islice(words, 1, None), tie)))
 
 
 def deserialize(stream: IO[str]) -> Dictionary:
     """Read a dictionary file; malformed content fails with its line number.
 
-    Rows in canonical order, as `serialize` writes them, are kept as read;
-    rows in any other order are sorted.
+    The body is read in chunks and each chunk is checked in bulk; a chunk
+    that fails any check is parsed again row by row, which finds the first
+    bad line and reports it. Rows in canonical order, as `serialize` writes
+    them, are kept as read; rows in any other order are sorted. Counts
+    must fit in a signed 64-bit integer.
     """
     header = stream.readline()
     if not header:
@@ -162,44 +304,10 @@ def deserialize(stream: IO[str]) -> Dictionary:
     provenance = Provenance(corpus_id=m.group(3) or "",
                             config_hash=m.group(2),
                             threshold=int(m.group(1)))
-    entries: list[DictEntry] = []
-    seen: set[str] = set()
-    in_order = True
-    prev_key: tuple = ()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # entries hold no cycles; collecting while they pile up only rescans them
-    try:
-        for line_no, line in enumerate(stream, 2):
-            try:
-                # int() ignores the trailing newline, as it ignores other surrounding whitespace.
-                word, doc_s, corpus_s = line.split("\t")
-                doc_count, corpus_count = int(doc_s), int(corpus_s)
-            except ValueError:
-                if line == "\n":
-                    continue
-                line = line.rstrip("\n")
-                n_cols = len(line.split("\t"))
-                message = (f"expected 3 columns, got {n_cols}" if n_cols != 3
-                           else f"non-integer count in {line!r}")
-                raise DictionaryFormatError(line_no, message) from None
-            if not word or doc_count < 1 or corpus_count < doc_count:
-                line = line.rstrip("\n")
-                raise DictionaryFormatError(line_no, f"invalid entry {line!r}")
-            if word in seen:
-                raise DictionaryFormatError(line_no, f"duplicate word {word!r}")
-            seen.add(word)
-            if in_order:
-                key = (-doc_count, -corpus_count, word)
-                in_order = prev_key < key
-                prev_key = key
-            # DictEntry(...) without the Python-level __new__ that would call this.
-            entries.append(tuple.__new__(DictEntry, (word, doc_count, corpus_count)))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    if in_order:
-        return Dictionary._of_canonical(entries, provenance)
-    return Dictionary(entries, provenance)
+    columns = _read_body(stream)
+    if not _in_canonical_order(*columns):
+        columns = _canonical(*columns)
+    return Dictionary._of_columns(*columns, provenance)
 
 
 def load(path) -> Dictionary:

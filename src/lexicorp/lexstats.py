@@ -44,10 +44,8 @@ class ParetoFit:
 
 
 def histogram(d: Dictionary) -> DocFreqHistogram:
-    counts: dict[int, int] = {}
-    for e in d.entries:
-        counts[e.doc_count] = counts.get(e.doc_count, 0) + 1
-    return DocFreqHistogram(counts, len(d.entries))
+    values, counts = np.unique(d.doc, return_counts=True)
+    return DocFreqHistogram(dict(zip(values.tolist(), counts.tolist())), len(d))
 
 
 def cumulative(hist: DocFreqHistogram) -> list[tuple[int, int]]:

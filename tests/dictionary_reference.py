@@ -1,8 +1,12 @@
-"""The dictionary reader as it was before the single-pass loader: frozen
-dataclass entries, a per-line parse with every check in sequence, and a
-sort of the result by the canonical key whatever order the rows came in.
-Kept as the oracle that tests/test_dictionary.py checks `deserialize`
-against.
+"""Dictionary code as it was before the columnar `Dictionary`, kept as the
+oracles that tests/test_dictionary.py and tests/test_lexstats.py check
+against:
+
+- the reader from before the single-pass loader: frozen dataclass
+  entries, a per-line parse with every check in sequence, and a sort of
+  the result by the canonical key whatever order the rows came in;
+- the writer that wrote one row per `stream.write`;
+- the histogram that counted doc counts in a dict, row by row.
 """
 
 from __future__ import annotations
@@ -58,3 +62,22 @@ def deserialize(stream: IO[str]) -> tuple[list[DictEntry], Provenance]:
     if provenance is None:
         raise DictionaryFormatError(0, "empty file (missing header)")
     return sorted(entries, key=_SORT_KEY), provenance
+
+
+def serialize(entries, provenance: Provenance, stream: IO[str]) -> None:
+    """Write the interchange format: header line, then one entry per line."""
+    p = provenance
+    header = f"#lexicorp-dict v1 threshold={p.threshold} config={p.config_hash}"
+    if p.corpus_id:
+        header += f" corpus={p.corpus_id}"
+    stream.write(header + "\n")
+    for e in entries:
+        stream.write(f"{e.word}\t{e.doc_count}\t{e.corpus_count}\n")
+
+
+def histogram_counts(entries) -> dict[int, int]:
+    """counts[n] = number of entries with doc_count n."""
+    counts: dict[int, int] = {}
+    for e in entries:
+        counts[e.doc_count] = counts.get(e.doc_count, 0) + 1
+    return counts

@@ -252,6 +252,14 @@ class TestBuildAndPrune:
         rc = main(["prune", str(bad), "--out", str(tmp_path / "p.tsv")])
         assert rc == 2
 
+    def test_count_above_int64_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "big.tsv"
+        bad.write_text("#lexicorp-dict v1 threshold=0 config=c\n"
+                       "w\t1\t99999999999999999999\n", encoding="utf-8")
+        assert main(["prune", str(bad), "--out", str(tmp_path / "p.tsv")]) == 2
+        assert "line 2: count out of range" in capsys.readouterr().err
+        assert not (tmp_path / "p.tsv").exists()
+
 
 class TestStats:
     def test_exact_power_law_dictionary(self, tmp_path):
@@ -372,6 +380,21 @@ class TestCompare:
             "correlations.tsv", "coverage.tsv", "fragments.tsv", "interval_overlaps.tsv",
             "last_position.tsv", "manifest.json", "same_rank.tsv", "summary.json",
             "top_bottom_overlap.tsv"]
+
+    @pytest.mark.parametrize("header", ["", "headword,sfi\n"])
+    def test_word_list_bom_is_ignored(self, tmp_path, header):
+        dict_path, _ = self.make_inputs(tmp_path)
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            wl_path = tmp_path / f"wl{len(bom)}.csv"
+            wl_path.write_bytes(bom + f"{header}b,90\na,80\nc,70\nzz,30\n".encode())
+            out = tmp_path / f"cmp{len(bom)}"
+            assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+        assert outputs[0] == outputs[1]
+        assert b"missing\tzz\n" in outputs[1]["coverage.tsv"]
+        assert json.loads(outputs[1]["summary.json"])["coverage_count"] == 3
 
     def test_empty_word_list_is_input_error(self, tmp_path):
         dict_path, _ = self.make_inputs(tmp_path)

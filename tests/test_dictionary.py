@@ -1,5 +1,7 @@
 import gc
 import io
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,15 @@ def test_merge_refuses_different_configs():
         DictEntry("x", 2, 2)]
 
 
+def test_merge_refuses_pruned_dictionaries():
+    a = dct.build([("d1", ["x", "y"]), ("d2", ["x"])])
+    b = dct.build([("d3", ["y"])])
+    for pair in ((dct.prune(a, 1), b), (b, dct.prune(a, 1))):
+        with pytest.raises(ValueError, match="pruned at threshold 1"):
+            dct.merge(*pair)
+    assert dct.merge(dct.prune(a, 0), b).entries == [DictEntry("x", 2, 2), DictEntry("y", 2, 2)]
+
+
 # Differential test against the per-line reader in dictionary_reference.
 
 GOOD_HEADERS = [
@@ -252,6 +263,57 @@ def test_deserialize_matches_reference(text, as_file):
         for threshold in range(6):
             assert dct.prune(d, threshold).entries == [
                 e for e in d.entries if e.doc_count > threshold]
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64])
+def test_deserialize_matches_reference_in_small_chunks(chunk_chars):
+    # Puts errors, repeats, blank lines, CRLF and a missing final newline
+    # on chunk boundaries.
+    with mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars):
+        test_deserialize_matches_reference()
+
+
+def test_count_above_int64_is_a_format_error():
+    header = "#lexicorp-dict v1 threshold=0 config=c\n"
+    big = 2**63
+    for row, line_no in ((f"a\t1\t{big}\n", 2), (f"a\t3\t3\nb\t{big}\t{big}\n", 3),
+                         ("a\t2\t99999999999999999999", 2)):
+        with pytest.raises(DictionaryFormatError, match="count out of range") as err:
+            dct.deserialize(io.StringIO(header + row))
+        assert err.value.line_no == line_no
+    d = dct.deserialize(io.StringIO(header + f"a\t1\t{big - 1}\n"))
+    assert d.entries == [DictEntry("a", 1, big - 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(TOKEN_LISTS, st.sampled_from([Provenance(), Provenance("cid", "ch", 3)]))
+def test_serialize_matches_reference(token_lists, provenance):
+    d = dct.build(token_lists)
+    d.provenance = provenance
+    want, got = io.StringIO(), io.StringIO()
+    ref.serialize(d.entries, provenance, want)
+    with mock.patch.object(dct, "_ROWS_PER_WRITE", 3):
+        dct.serialize(d, got)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_loaded_dictionary_holds_less_than_its_entries():
+    rows = [(f"w{i:05d}", 50_000 - i, 50_000 - i + i % 7) for i in range(50_000)]
+    text = "#lexicorp-dict v1 threshold=0 config=c\n" + "".join(
+        f"{w}\t{d}\t{c}\n" for w, d, c in rows)
+
+    def held(make):
+        tracemalloc.start()
+        try:
+            kept = make()  # noqa: F841
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    columns = held(lambda: dct.deserialize(io.StringIO(text)))
+    entries = held(lambda: [DictEntry(w, int(d), int(c)) for w, d, c in
+                            (line.split("\t") for line in text.splitlines()[1:])])
+    assert columns < entries
 
 
 def test_deserialize_restores_the_collector_state():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dictionary_reference
 import fit_reference
 from lexicorp import dictionary as dct
 from lexicorp import lexstats as ls
@@ -34,6 +35,15 @@ class TestHistogram:
     def test_empty(self):
         h = ls.histogram(make_dict([]))
         assert h.counts == {} and h.total_words == 0
+
+    @given(st.lists(st.integers(1, 2**63 - 1) | st.integers(1, 9), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, doc_counts):
+        d = make_dict(doc_counts)
+        h = ls.histogram(d)
+        assert h.counts == dictionary_reference.histogram_counts(d.entries)
+        assert all(type(n) is int and type(k) is int for n, k in h.counts.items())
+        assert h.total_words == len(doc_counts)
 
 
 class TestCumulativeAndTail:
