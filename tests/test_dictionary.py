@@ -1,5 +1,7 @@
 import gc
 import io
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -191,6 +193,73 @@ def test_merge_refuses_pruned_dictionaries():
     assert dct.merge(dct.prune(a, 0), b).entries == [DictEntry("x", 2, 2), DictEntry("y", 2, 2)]
 
 
+def test_merge_keeps_only_a_shared_corpus_id():
+    def header(a_id, b_id):
+        merged = dct.merge(dct.build([("d1", ["x"])], corpus_id=a_id, config_hash="c"),
+                           dct.build([("d2", ["x", "y"])], corpus_id=b_id, config_hash="c"))
+        buf = io.StringIO()
+        dct.serialize(merged, buf)
+        return buf.getvalue().splitlines()[0]
+
+    assert header("aaa", "aaa") == "#lexicorp-dict v1 threshold=0 config=c corpus=aaa"
+    assert header("aaa", "bbb") == "#lexicorp-dict v1 threshold=0 config=c"
+    assert header("aaa", "") == "#lexicorp-dict v1 threshold=0 config=c"
+
+
+# Every Dictionary that `save` writes, `load` reads back.
+
+@pytest.mark.parametrize("rows", [
+    [DictEntry("a", 0, 0)],
+    [DictEntry("a", -1, 3)],
+    [DictEntry("a", 2, 1)],
+    [DictEntry("a", 1, 2**63)],
+    [DictEntry("", 1, 1)],
+    [DictEntry("a\tb", 1, 1)],
+    [DictEntry("a\nb", 1, 1)],
+    [DictEntry("a\rb", 1, 1)],
+    [DictEntry("a", 1, 1), DictEntry("b", 2, 2), DictEntry("a", 3, 3)],
+])
+def test_dictionary_refuses_rows_a_file_cannot_hold(rows):
+    with pytest.raises(ValueError):
+        Dictionary(rows)
+
+
+@pytest.mark.parametrize("fields", [
+    {"threshold": -1},
+    {"config_hash": "h x"},
+    {"config_hash": "h\tx"},
+    {"corpus_id": "c\n"},
+    {"corpus_id": "\x85"},
+    {"corpus_id": "a b", "config_hash": "h"},
+])
+def test_provenance_refuses_what_the_header_cannot_hold(fields):
+    with pytest.raises(ValueError):
+        Provenance(**fields)
+
+
+# Any word (lone surrogates aside, which UTF-8 cannot encode), and counts
+# on both sides of each bound: doc 1, corpus >= doc and 2**63 - 1.
+SAVED_ROW = st.tuples(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.sampled_from([1, 1, 2, 3, 2**63 - 2, 2**63 - 1, 0]),
+    st.sampled_from([0, 0, 1, 2, -1]),
+).map(lambda r: DictEntry(r[0], r[1], r[1] + r[2]))
+SAVED_ID = st.text("ab1=._-", max_size=3) | st.text("a \t\r\x85\u3000", max_size=3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(SAVED_ROW, max_size=5), SAVED_ID, SAVED_ID, st.integers(-2, 10**20))
+def test_whatever_save_writes_loads_back_equal(rows, corpus_id, config_hash, threshold):
+    try:
+        d = Dictionary(rows, Provenance(corpus_id, config_hash, threshold))
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.tsv")
+        dct.save(d, path)
+        assert dct.load(path) == d
+
+
 # Differential test against the per-line reader in dictionary_reference.
 
 GOOD_HEADERS = [
@@ -203,7 +272,10 @@ ENTRY_WORD = st.text(alphabet="abé İ中\r\x85", min_size=1, max_size=3)
 COUNT_TEXT = st.one_of(
     st.integers(-1, 12).map(str),
     st.sampled_from(["+5", " 5", "5 ", "1_0", "_1", "1__0", "x", "", "٣", "1.0",
-                     " 7", "5\x1c"]),
+                     " 7", "5\x1c", "5\x00", "0x1", "1e3", "--1", "+-1", "-0", "+0", "٣٣",
+                     "9223372036854775807", "9223372036854775808"]),
+    # 19 and 20 digits, on both sides of 2**63 - 1
+    st.integers(10**18, 10**20 - 1).map(str),
 )
 JUNK_ROW = st.one_of(
     st.tuples(st.text(alphabet="aé ", max_size=2), COUNT_TEXT, COUNT_TEXT).map("\t".join),
@@ -252,10 +324,30 @@ def _outcome(read, text, as_file):
     return ("ok", [(e.word, e.doc_count, e.corpus_count) for e in entries], provenance)
 
 
+def _reference_outcome(text, as_file):
+    """The reference reader's outcome, where a row it accepts with a count
+    above 2**63 - 1 is instead the error of that row, as in `deserialize`:
+    the range is checked after the count invariants and before repeats."""
+    want = _outcome(ref.deserialize, text, as_file)
+    last = want[1] if want[0] == "error" else float("inf")
+    for line_no, line in enumerate(_stream(text, as_file), 1):
+        if line_no == 1 or line_no > last:
+            continue
+        line = line.rstrip("\n")
+        cells = line.split("\t")
+        try:
+            doc_count, corpus_count = int(cells[1]), int(cells[2])
+        except (IndexError, ValueError):
+            continue
+        if len(cells) == 3 and cells[0] and 1 <= doc_count <= corpus_count and corpus_count >= 2**63:
+            return ("error", line_no, f"line {line_no}: count out of range (above 2**63 - 1) in {line!r}")
+    return want
+
+
 @settings(max_examples=600, deadline=None)
 @given(dictionary_texts(), st.booleans())
 def test_deserialize_matches_reference(text, as_file):
-    want = _outcome(ref.deserialize, text, as_file)
+    want = _reference_outcome(text, as_file)
     assert _outcome(dct.deserialize, text, as_file) == want
     if want[0] == "ok":
         d = dct.deserialize(_stream(text, as_file))
@@ -271,6 +363,30 @@ def test_deserialize_matches_reference_in_small_chunks(chunk_chars):
     # on chunk boundaries.
     with mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars):
         test_deserialize_matches_reference()
+
+
+BLANK_LINE_BODIES = [
+    "\na\t2\t2\nb\t1\t1\n",  # at the start
+    "a\t2\t2\nb\t1\t1\n\n",  # at the end
+    "a\t2\t2\n\n\n\nb\t1\t1\n\n\n",  # repeated
+    "\n\n\n",
+    "b\t1\t1\n\na\t2\t2\n",  # out of order
+    "a\t2\t2\n\n\nb\t0\t1\n",  # an invalid row after them
+    "a\t2\t2\n\na\t1\t1\n",  # a repeat after them
+    "a\t2\t2\n\n\tb\t1\n",  # an empty word after them
+    "a\t2\t2\n\nb\t1\n",  # two cells after them
+]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("body", BLANK_LINE_BODIES)
+def test_blank_lines_on_chunk_boundaries_match_reference(body, eol):
+    text = ("#lexicorp-dict v1 threshold=0 config=c\n" + body).replace("\n", eol)
+    for chunk_chars in [*range(1, len(text)), 1 << 19]:
+        with mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars):
+            for as_file in (False, True):
+                assert (_outcome(dct.deserialize, text, as_file)
+                        == _outcome(ref.deserialize, text, as_file)), (chunk_chars, as_file)
 
 
 def test_count_above_int64_is_a_format_error():
