@@ -56,15 +56,17 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.prefixes:
             raise ValueError("prefix table must not be empty")
-        # Prefixes and substitution keys apply within one token. Every key
-        # holds a "-", so the token memo passes hyphen-free tokens
+        # Prefixes and substitution keys apply within one run of letters,
+        # digits and "-" of a token, so they may hold nothing else. Every
+        # key holds a "-", so the token memo passes hyphen-free tokens
         # straight to the stemmer.
         for p in self.prefixes:
-            if p != p.lower() or any(map(str.isspace, p)):
-                raise ValueError(f"prefix not lowercase or with whitespace: {p!r}")
+            if p != p.lower() or not p.isalnum():
+                raise ValueError(f"prefix not lowercase or not all letters and digits: {p!r}")
         for key, _ in self.substitutions:
-            if "-" not in key or any(map(str.isspace, key)):
-                raise ValueError(f"substitution key without '-' or with whitespace: {key!r}")
+            if "-" not in key or not all(c.isalnum() or c == "-" for c in key):
+                raise ValueError(f"substitution key without '-' or with a character "
+                                 f"other than letters, digits and '-': {key!r}")
         for w in self.stop_words:
             if w != w.lower():
                 raise ValueError(f"stop word not lowercase: {w!r}")

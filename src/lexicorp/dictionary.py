@@ -29,6 +29,8 @@ _ROWS_PER_WRITE = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
 # The newline that ends a blank line: at the start, or after a newline.
 _BLANK_LINE_RE = re.compile(r"(?<![^\n])\n")
+# What no word of a dictionary file may hold.
+_BREAK_RE = re.compile(r"[\t\n\r]")
 
 
 class DictionaryFormatError(InputError):
@@ -121,14 +123,25 @@ class Dictionary:
         return dict(zip(self._words, self.doc.tolist()))
 
 
+def _check_words(words: Iterable[str]) -> None:
+    """Raise ValueError for an empty word or one holding a tab or a line
+    break, "\\r" too: text mode reads it as one."""
+    if "" in words or _BREAK_RE.search("".join(words)):
+        word = next(w for w in words if not w or _BREAK_RE.search(w))
+        raise ValueError(f"word {word!r} is empty or holds a tab or line break")
+
+
 def _check_rows(entries: list[DictEntry]) -> None:
-    """Raise ValueError for the first row that `deserialize` would refuse.
-    A "\\r" in a word counts: a file opened in text mode reads it as a
-    line break."""
+    """Raise ValueError for a row that `deserialize` would refuse, or
+    whose counts are not integers."""
+    _check_words([e[0] for e in entries])
     seen: set[str] = set()
     for word, doc_count, corpus_count in entries:
-        if not word or "\t" in word or "\n" in word or "\r" in word:
-            raise ValueError(f"word {word!r} is empty or holds a tab or line break")
+        # int64 would cast a float, a bool or a string without a word.
+        if any(isinstance(c, bool) or not hasattr(c, "__index__")
+               for c in (doc_count, corpus_count)):
+            raise ValueError(f"non-integer counts for {word!r}: "
+                             f"doc {doc_count!r}, corpus {corpus_count!r}")
         if not 1 <= doc_count <= corpus_count <= _INT64_MAX:
             raise ValueError(f"invalid counts for {word!r}: doc {doc_count}, corpus {corpus_count}")
         if word in seen:
@@ -145,6 +158,7 @@ def _canonical(words: list[str], doc: np.ndarray, corpus: np.ndarray):
 
 
 def _from_counts(doc_counts: Counter, corpus_counts: Counter, provenance: Provenance) -> Dictionary:
+    _check_words(corpus_counts)
     words = list(corpus_counts)
     doc = np.fromiter(map(doc_counts.__getitem__, words), np.int64, len(words))
     corpus = np.fromiter(corpus_counts.values(), np.int64, len(words))

@@ -280,18 +280,14 @@ def same_rank_words(ranks_a: Sequence[str], ranks_b: Sequence[str]) -> list[tupl
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
+    """1-based ranks; tied values share the average of their positions.
+    A NaN ties with nothing, as NaN != NaN (np.unique would join them)."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
     sorted_vals = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    counts = np.diff(np.append(starts, len(values)))
+    ranks = np.empty(len(values), dtype=float)
+    ranks[order] = np.repeat((2 * starts + counts - 1) / 2 + 1, counts)
     return ranks
 
 

@@ -4,13 +4,14 @@ The step order is fixed: punctuation removal, lowercasing, prefix
 uniting, whole-token substitutions, hyphen removal, number removal,
 stemming, stop-word removal. Steps 1-2 run on the whole text, which is
 then split on whitespace; no later step looks across whitespace, so
-steps 3-8 run once per distinct token and config, memoised.
+steps 3-8 run once per distinct token and config, memoised. Steps 3-6
+are one plain pass over the token: no regular expression.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 
 from .config import PipelineConfig, default_config
@@ -25,9 +26,6 @@ _PUNCT_RE = re.compile(r"[^\w\-]|_")
 # through whole. Deleting the ASCII bytes leaves only those characters.
 _BYTE_PUNCT = bytes(0x20 if c < 0x80 and _PUNCT_RE.match(chr(c)) else c for c in range(256))
 _ASCII_BYTES = bytes(range(0x80))
-
-# A maximal run of digits standing alone as a token.
-_PURE_NUMBER_RE = re.compile(r"(?<!\S)\d+(?!\S)")
 
 
 @lru_cache(maxsize=None)  # at most one entry per code point
@@ -48,87 +46,44 @@ def strip_punctuation(text: str) -> str:
     return out
 
 
-def lowercase(text: str) -> str:
-    return text.lower()
-
-
-@lru_cache(maxsize=16)
-def _uniter(prefixes: tuple[str, ...]):
-    alternation = "|".join(re.escape(p) for p in prefixes)
-    # token must start with the prefix and the hyphen must be followed
-    # by at least one word character
-    return partial(re.compile(rf"(?<![\w\-])({alternation})-(?=\w)").sub, r"\1")
-
-
-def unite_prefixes(text: str, prefixes) -> str:
-    """Delete the hyphen of every token that starts "<prefix>-".
-
-    Only the token's first hyphen can be united; the pre-hyphen part
-    must equal a prefix exactly ("anti-viral" joins, "well-known" does
-    not). Text must already be lowercased.
-    """
-    return _uniter(tuple(prefixes))(text)
-
-
-@lru_cache(maxsize=16)
-def _substituter(substitutions: tuple[tuple[str, str], ...]):
-    mapping = dict(substitutions)
-    keys = sorted((k for k, _ in substitutions), key=len, reverse=True)
-    alternation = "|".join(re.escape(k) for k in keys)
-    pattern = re.compile(rf"(?<![\w\-])({alternation})(?![\w\-])")
-    return partial(pattern.sub, lambda m: mapping[m.group(1)])
-
-
-def apply_substitutions(text: str, substitutions) -> str:
-    """Replace whole-token occurrences of the substitution keys."""
-    return _substituter(tuple(substitutions))(text)
-
-
-def strip_hyphens(text: str) -> str:
-    return text.replace("-", " ")
-
-
-def strip_numbers(text: str) -> str:
-    """Drop tokens that consist only of digits; keep mixed tokens ("co2")."""
-    return _PURE_NUMBER_RE.sub("", text)
-
-
-def tokenize(text: str) -> list[str]:
-    return text.split()
-
-
-def remove_stopwords(tokens, stop_set) -> list[str]:
-    return [t for t in tokens if t not in stop_set]
-
-
 class _TokenMemo(dict):
     """Lowercased token -> its tokens after steps 3-8; misses fill it."""
 
     def __init__(self, config: PipelineConfig):
         super().__init__()
-        self._unite = _uniter(tuple(config.prefixes))
-        self._substitute = _substituter(tuple(config.substitutions))
+        self._prefixes = frozenset(config.prefixes)
+        self._substitute = dict(config.substitutions).get
         # The stop list through steps 1-7; an entry that splits apart
         # ("i'm") can never match a single token and is dropped.
         stop = set()
         for word in config.stop_words:
-            toks = [t for w in tokenize(lowercase(strip_punctuation(word)))
+            toks = [t for w in strip_punctuation(word).lower().split()
                     for t in self._text_steps(w)]
             if len(toks) == 1:
                 stop.add(stem(toks[0]))
         self.stop_set = frozenset(stop)
 
     def _text_steps(self, token: str) -> list[str]:
-        text = self._substitute(self._unite(token))
-        return tokenize(strip_numbers(strip_hyphens(text)))
+        """Steps 3-6 on one lowercased token: in each run, unite
+        "<prefix>-" and substitute a run equal to a key; then split at
+        the hyphens and drop the pure numbers. Runs end at U+0307 (from
+        "İ".lower()), the only character besides letters, digits and "-"
+        such a token can hold, and which no prefix or key may hold."""
+        runs = []
+        for run in token.split("\u0307"):
+            head, _, tail = run.partition("-")
+            if head in self._prefixes and tail[:1].isalnum():
+                run = head + tail
+            runs.append(self._substitute(run, run))
+        text = "\u0307".join(runs)
+        return [p for p in text.replace("-", " ").split() if not p.isdecimal()]
 
     def __missing__(self, token: str) -> tuple[str, ...]:
         # Without a "-", steps 3-6 can only drop a pure number: uniting
-        # needs "<prefix>-", PipelineConfig rejects substitution keys
-        # without "-", and the \d of strip_numbers is exactly what
-        # isdecimal() accepts (Unicode category Nd).
+        # needs "<prefix>-" and PipelineConfig rejects substitution keys
+        # without "-".
         if "-" in token:
-            out = tuple(remove_stopwords(map(stem, self._text_steps(token)), self.stop_set))
+            out = tuple(w for w in map(stem, self._text_steps(token)) if w not in self.stop_set)
         elif token.isdecimal():
             out = ()
         else:
@@ -158,5 +113,5 @@ def process_document(abstract: str, config: PipelineConfig | None = None) -> lis
     legal and left for the caller to flag.
     """
     memo = _token_memo(config or default_config())
-    tokens = tokenize(lowercase(strip_punctuation(abstract)))
+    tokens = strip_punctuation(abstract).lower().split()
     return list(chain.from_iterable(map(memo.__getitem__, tokens)))

@@ -1,12 +1,16 @@
 """The rank-overlap measures as they were before the position-array code:
-one pair of sets per interval, per top-n and per bottom-n. Kept verbatim
-as the oracle that tests/test_listcompare.py checks `interval_overlap`,
-`top_n_overlap`, `bottom_n_overlap` and `compare` against.
+one pair of sets per interval, per top-n and per bottom-n, and the
+fractional ranks as they were before the grouped-array code: one loop
+over runs of tied values. Kept verbatim as the oracles that
+tests/test_listcompare.py checks `interval_overlap`, `top_n_overlap`,
+`bottom_n_overlap`, `compare` and `_fractional_ranks` against.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 
 def interval_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], width: int) -> float:
@@ -42,3 +46,19 @@ def _check_n(ranks_a, ranks_b, n):
         raise ValueError("orderings must have equal length")
     if not 0 <= n <= len(ranks_a):
         raise ValueError(f"n must be between 0 and {len(ranks_a)}")
+
+
+def fractional_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the average of their positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    n = len(values)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks

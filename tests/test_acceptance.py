@@ -25,7 +25,7 @@ from lexicorp import listcompare as lc
 from lexicorp import pipeline as pl
 from lexicorp import tables
 from lexicorp.cli import main
-from lexicorp.config import default_config
+from lexicorp.config import PipelineConfig, default_config
 from lexicorp.stemmer import stem
 
 from test_dictionary import naive_recount
@@ -47,11 +47,13 @@ def criterion(number, name, budget_s):
 
 def test_criterion_1_pipeline_golden_suite():
     cfg = default_config()
+    # steps 3-6 (prefixes, substitutions, hyphens, numbers) on each token
+    steps = pl._token_memo(cfg)._text_steps
     with criterion(1, "pipeline golden suite", 1.0):
         # every substitution rule
         assert len(tables.SUBSTITUTIONS) == 15
         for key, value in tables.SUBSTITUTIONS:
-            assert pl.apply_substitutions(key, cfg.substitutions) == value
+            assert steps(key) == [value]
 
         # prefix uniting across the table
         prefix_cases = [
@@ -72,8 +74,10 @@ def test_criterion_1_pipeline_golden_suite():
         ]
         assert len(prefix_cases) >= 10
         for text, expected in prefix_cases:
-            assert pl.unite_prefixes(text, cfg.prefixes) == expected
-        assert pl.unite_prefixes("well-known", cfg.prefixes) == "well-known"
+            assert steps(text) == [expected]
+        # "well-known" is also a substitution key, so check it without them
+        no_subs = pl._token_memo(PipelineConfig(substitutions=()))._text_steps
+        assert no_subs("well-known") == ["well", "known"]
 
         # concatenated heading corrections
         forms = cfg.heading_forms
@@ -86,11 +90,11 @@ def test_criterion_1_pipeline_golden_suite():
             ("conclusionhigher", 0)
 
         # digit-token rules
-        assert pl.tokenize(pl.strip_numbers("in 2014 co2 rose")) == ["in", "co2", "rose"]
+        assert [t for w in "in 2014 co2 rose".split() for t in steps(w)] == ["in", "co2", "rose"]
         for token in ("co2", "h2o", "1990s", "zn2", "21st"):
-            assert pl.strip_numbers(token) == token
+            assert steps(token) == [token]
             assert stem(token) == token
-        assert pl.strip_numbers("3 14").strip() == ""
+        assert steps("3") + steps("14") == []
 
         # composed traces
         assert pl.process_document("The Z-score was 2.5 in 2014", cfg) == ["zscore"]

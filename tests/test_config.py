@@ -27,8 +27,8 @@ def test_partial_override_falls_back_to_defaults(tmp_path):
     cfg = load_config(tmp_path)
     assert cfg.prefixes == ("giga",)
     assert cfg.stop_words == default_config().stop_words
-    assert pl.unite_prefixes("giga-watt", cfg.prefixes) == "gigawatt"
-    assert pl.unite_prefixes("anti-viral", cfg.prefixes) == "anti-viral"
+    assert pl._token_memo(cfg)._text_steps("giga-watt") == ["gigawatt"]
+    assert pl._token_memo(cfg)._text_steps("anti-viral") == ["anti", "viral"]
 
 
 def test_env_var_names_config_dir(tmp_path, monkeypatch):
@@ -84,6 +84,8 @@ def test_default_hash_is_pinned():
     ("prefixes.txt", "# only a comment\n", "must not be empty"),
     ("prefixes.txt", "Anti\n", "not lowercase"),
     ("stopwords.txt", "The\n", "not lowercase"),
+    ("prefixes.txt", "anti\nanti-self\n", "not all letters and digits"),
+    ("substitutions.tsv", "z-score\u0307\tzscore\n", "other than letters, digits and '-'"),
 ])
 def test_bad_table_is_input_error_naming_the_file(tmp_path, name, content, message):
     # A substitution key without "-" must be refused: the token memo passes

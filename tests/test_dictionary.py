@@ -1,10 +1,12 @@
 import gc
 import io
 import os
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,10 +220,28 @@ def test_merge_keeps_only_a_shared_corpus_id():
     [DictEntry("a\nb", 1, 1)],
     [DictEntry("a\rb", 1, 1)],
     [DictEntry("a", 1, 1), DictEntry("b", 2, 2), DictEntry("a", 3, 3)],
+    [DictEntry("a", 1.5, 2.9)],
+    [DictEntry("a", True, True)],
+    [DictEntry("a", 1, 2.0)],
+    [DictEntry("a", 1, "2")],
+    [DictEntry("a", np.True_, 2)],
 ])
 def test_dictionary_refuses_rows_a_file_cannot_hold(rows):
     with pytest.raises(ValueError):
         Dictionary(rows)
+
+
+def test_dictionary_takes_numpy_integer_counts():
+    d = Dictionary([DictEntry("a", np.int32(2), np.uint64(3)), DictEntry("b", 1, np.int64(1))])
+    assert d.entries == [("a", 2, 3), ("b", 1, 1)]
+
+
+@pytest.mark.parametrize("tokens,word", [
+    (["a\tb"], "a\tb"), (["", "c"], ""), (["c", "d\r"], "d\r"), (["e\n"], "e\n"),
+])
+def test_build_refuses_words_a_file_cannot_hold(tokens, word):
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        dct.build([("d", tokens)])
 
 
 @pytest.mark.parametrize("fields", [

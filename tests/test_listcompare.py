@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,6 +333,19 @@ class TestCorrelations:
             pairs = list(zip(xs, ys))
             assert lc.spearman(pairs) == pytest.approx(
                 oracle_spearman_no_ties(xs, ys), abs=1e-12)
+
+
+# Few distinct values, so most draws hold ties, plus both zeros, NaN and
+# the infinities, which must rank exactly as the loop in compare_reference.
+RANKED = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, math.inf, -math.inf])
+                  | st.floats(allow_nan=True), max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(RANKED)
+def test_fractional_ranks_match_reference(values):
+    values = np.array(values, dtype=float)
+    assert np.array_equal(lc._fractional_ranks(values), ref.fractional_ranks(values))
 
 
 class TestCompareDriver:

@@ -28,14 +28,20 @@ class TestStripPunctuation:
         assert pl.strip_punctuation("café!") == "café "
 
 
+def text_steps(text, cfg=CFG):
+    """Steps 3-6 on each whitespace-separated token of lowercased text."""
+    return [t for w in text.split() for t in pl._token_memo(cfg)._text_steps(w)]
+
+
 class TestLowercase:
     @pytest.mark.parametrize("text", ["Corpus", "CORPUS", "corpus"])
     def test_casefold(self, text):
-        assert pl.lowercase(text) == "corpus"
+        assert pl.process_document(text) == ["corpus"]
 
 
 class TestUnitePrefixes:
-    # a spread of cases across the prefix table
+    # a spread of cases across the prefix table; the expected text is
+    # the united text, whose remaining hyphens step 5 then splits at
     @pytest.mark.parametrize("text,expected", [
         ("anti-viral", "antiviral"),
         ("ex-president", "expresident"),
@@ -55,88 +61,87 @@ class TestUnitePrefixes:
         ("multi-level wave-guide", "multilevel wave-guide"),
     ])
     def test_prefix_cases(self, text, expected):
-        assert pl.unite_prefixes(text, CFG.prefixes) == expected
+        assert text_steps(text) == expected.replace("-", " ").split()
 
     def test_non_prefix_untouched(self):
-        assert pl.unite_prefixes("well-known", CFG.prefixes) == "well-known"
+        # "well-known" is also a substitution key, so test it without them
+        assert text_steps("well-known", PipelineConfig(substitutions=())) == ["well", "known"]
 
     def test_only_first_hyphen(self):
-        assert pl.unite_prefixes("anti-self-test", CFG.prefixes) == "antiself-test"
+        assert text_steps("anti-self-test") == ["antiself", "test"]
 
     def test_prefix_must_start_token(self):
-        assert pl.unite_prefixes("xx-anti-y", CFG.prefixes) == "xx-anti-y"
+        assert text_steps("xx-anti-y") == ["xx", "anti", "y"]
 
     def test_dangling_hyphen_untouched(self):
-        assert pl.unite_prefixes("anti- viral", CFG.prefixes) == "anti- viral"
+        assert text_steps("anti- viral") == ["anti", "viral"]
 
 
 class TestApplySubstitutions:
     @pytest.mark.parametrize("key,value", list(tables.SUBSTITUTIONS))
     def test_every_rule(self, key, value):
-        assert pl.apply_substitutions(key, CFG.substitutions) == value
+        assert text_steps(key) == [value]
 
     def test_unknown_token_untouched(self):
-        assert pl.apply_substitutions("t-test", CFG.substitutions) == "t-test"
+        assert text_steps("t-test") == ["t", "test"]
 
     def test_whole_token_only(self):
-        assert pl.apply_substitutions("z-scores-based", CFG.substitutions) == "z-scores-based"
+        assert text_steps("z-scores-based") == ["z", "scores", "based"]
 
     def test_in_context(self):
-        got = pl.apply_substitutions("the z-score was", CFG.substitutions)
-        assert got == "the zscore was"
+        assert text_steps("the z-score was") == ["the", "zscore", "was"]
 
 
 class TestStripHyphens:
     def test_multi(self):
-        assert pl.strip_hyphens("state-of-the-art") == "state of the art"
+        assert text_steps("state-of-the-art") == ["state", "of", "the", "art"]
 
     def test_simple(self):
-        assert pl.strip_hyphens("t-test") == "t test"
+        assert text_steps("t-test") == ["t", "test"]
 
     def test_none(self):
-        assert pl.strip_hyphens("wellknown") == "wellknown"
+        assert text_steps("wellknown") == ["wellknown"]
 
 
 class TestStripNumbers:
     def test_pure_number_removed(self):
-        assert pl.tokenize(pl.strip_numbers("in 2014 co2 rose")) == ["in", "co2", "rose"]
+        assert text_steps("in 2014 co2 rose") == ["in", "co2", "rose"]
 
     @pytest.mark.parametrize("token", ["co2", "h2o", "1990s", "zn2", "21st"])
     def test_mixed_tokens_kept(self, token):
-        assert pl.strip_numbers(token) == token
+        assert text_steps(token) == [token]
 
     def test_all_removed(self):
-        assert pl.strip_numbers("3 14").strip() == ""
+        assert text_steps("3 14") == []
 
 
 class TestTokenize:
     def test_basic(self):
-        assert pl.tokenize("a  b") == ["a", "b"]
+        assert pl.process_document("corpus  study") == ["corpus", "studi"]
 
     def test_empty(self):
-        assert pl.tokenize("") == []
+        assert pl.process_document(" \t\n ") == []
 
     def test_strip(self):
-        assert pl.tokenize(" x ") == ["x"]
+        assert pl.process_document(" corpus ") == ["corpus"]
 
 
 class TestRemoveStopwords:
     def test_removal(self):
-        stop = pl.processed_stop_set(CFG)
-        assert pl.remove_stopwords(["the", "result"], stop) == ["result"]
+        assert pl.process_document("the result") == ["result"]
 
     def test_can_is_not_a_stop_word(self):
-        stop = pl.processed_stop_set(CFG)
-        assert pl.remove_stopwords(["can", "show"], stop) == ["can", "show"]
+        assert pl.process_document("can show") == ["can", "show"]
 
     def test_empty(self):
-        assert pl.remove_stopwords([], frozenset()) == []
+        assert pl.process_document("the", PipelineConfig(stop_words=())) == ["the"]
 
     def test_stemmed_stop_forms_match(self):
         # "does" stems to "doe"; the processed list must still catch it
         stop = pl.processed_stop_set(CFG)
         assert "doe" in stop
         assert "the" in stop
+        assert pl.process_document("Does the") == []
 
 
 class TestProcessDocument:
@@ -171,12 +176,8 @@ def test_output_token_shape(text):
 def test_character_steps_idempotent(text):
     once = pl.strip_punctuation(text)
     assert pl.strip_punctuation(once) == once
-    once = pl.lowercase(text)
-    assert pl.lowercase(once) == once
-    once = pl.strip_hyphens(text)
-    assert pl.strip_hyphens(once) == once
-    once = pl.strip_numbers(text)
-    assert pl.strip_numbers(once) == once
+    for token in text_steps(once.lower()):
+        assert text_steps(token) == [token]
 
 
 def test_table_sizes():
@@ -202,6 +203,16 @@ def test_config_validation():
         PipelineConfig(substitutions=(("p value-x", "pvalue"),))
     with pytest.raises(ValueError):
         PipelineConfig(min_len=10, max_len=5)
+    # Only letters and digits in a prefix, and letters, digits and "-" in
+    # a key: "anti-self" would unite "anti-self-test" under the whole-text
+    # regex but not in the per-token pass.
+    for prefix in ("anti-self", "i\u0307", "anti_", "co."):
+        with pytest.raises(ValueError, match="not all letters and digits"):
+            PipelineConfig(prefixes=("anti", prefix))
+    for key in ("z-score\u0307", "z-score.", "p_value-x"):
+        with pytest.raises(ValueError, match="other than letters, digits and '-'"):
+            PipelineConfig(substitutions=((key, "x"),))
+    assert PipelineConfig(prefixes=("anti", "ß2"), substitutions=(("-", "x"), ("é-2", "y")))
 
 
 # Differential tests against the whole-text pipeline in pipeline_reference.
@@ -226,8 +237,9 @@ def test_matches_reference_on_text_with_surrogates(text):
 
 
 def test_isdecimal_is_the_digit_class():
-    # The memo drops a hyphen-free token as a number iff isdecimal();
-    # strip_numbers drops it iff it is all \d. Both mean category Nd.
+    # The memo drops a piece of a token as a number iff isdecimal(); the
+    # reference's strip_numbers drops it iff it is all \d. Both mean
+    # category Nd.
     import re
     digit = re.compile(r"\d").fullmatch
     assert [c for c in map(chr, range(0x110000)) if c.isdecimal() != bool(digit(c))] == []
@@ -236,10 +248,13 @@ def test_isdecimal_is_the_digit_class():
 @pytest.mark.parametrize("token", [
     "42", "\u0661\u0662", "²", "co2", "21st", "the", "studies", "café", "x-ray",
     "anti-42", "42-", "-", "chi-square", "ex-president",
+    # "İ" lowercases to "i" + U+0307, after which a prefix or a key may start
+    "İanti-viral", "İz-test", "anti-İ",
 ])
 def test_memo_entry_matches_reference(token):
     cfg = PipelineConfig()
-    assert pl._token_memo(cfg)[token] == tuple(ref.process_document(token, cfg))
+    assert pl._token_memo(cfg)[token.lower()] == tuple(ref.process_document(token, cfg))
+    assert pl.process_document(token, cfg) == ref.process_document(token, cfg)
 
 def test_processed_stop_set_matches_reference():
     assert pl.processed_stop_set(CFG) == ref.processed_stop_set(CFG)
@@ -307,3 +322,29 @@ def test_custom_config_matches_reference(custom_config, docs):
     for doc in docs:
         assert pl.process_document(doc, custom_config) == ref.process_document(doc, custom_config)
         assert pl.process_document(doc) == ref.process_document(doc)
+
+
+# Tables and text over a few characters, "İ" and U+0307 among them, so
+# that prefixes and keys overlap, nest and meet run breaks. Every table
+# that PipelineConfig accepts must give the reference's tokens.
+_PART = st.lists(st.sampled_from(["a", "i", "2", "é", "-", "\u0307", "i\u0307"]),
+                 min_size=1, max_size=3).map("".join)
+_ATOMS = st.sampled_from(["a", "i", "I", "2", "-", " ", "İ", "\u0307", "é"])
+
+
+# The reference's substitution regex needs at least one key.
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_PART, min_size=1, max_size=3),
+       st.lists(st.tuples(st.tuples(_PART, _PART).map("-".join), _PART), min_size=1, max_size=3),
+       st.data())
+def test_any_accepted_table_matches_reference(prefixes, substitutions, data):
+    try:
+        cfg = PipelineConfig(prefixes=tuple(prefixes), substitutions=tuple(substitutions),
+                             stop_words=())
+    except ValueError:
+        return
+    # The entries as text: "İ" is what lowercases to "i" + U+0307.
+    rules = [e.replace("i\u0307", "İ") for e in
+             [p + "-" for p in prefixes] + [k for k, _ in substitutions]]
+    text = "".join(data.draw(st.lists(_ATOMS | st.sampled_from(rules), max_size=12)))
+    assert pl.process_document(text, cfg) == ref.process_document(text, cfg)
