@@ -40,6 +40,13 @@ def _fmt_pct(fraction: float) -> str:
     return f"{fraction * 100:.1f}%"
 
 
+def _write_lines(path, lines) -> None:
+    """Write each line plus a newline to `path` through `atomic_open`."""
+    with atomic_open(path) as f:
+        for line in lines:
+            f.write(line + "\n")
+
+
 @click.group()
 def cli():
     """Corpus cleaning, dictionary building and word-list comparison."""
@@ -77,14 +84,10 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
         if lengths:
             mean = sum(n * k for n, k in lengths.items()) / report.n_after_length_filter
             f.write(f"mean_length\t{mean:.3f}\n")
-    with atomic_open(out / "lengths.csv") as f:
-        f.write("length,documents\n")
-        for length in sorted(lengths):
-            f.write(f"{length},{lengths[length]}\n")
+    _write_lines(out / "lengths.csv",
+                 ["length,documents", *(f"{n},{lengths[n]}" for n in sorted(lengths))])
     if errors:
-        with atomic_open(out / "ingest_errors.log") as f:
-            for e in errors:
-                f.write(f"line {e.line_no}\t{e.reason}\n")
+        _write_lines(out / "ingest_errors.log", (f"line {e.line_no}\t{e.reason}" for e in errors))
         click.echo(f"warning: {len(errors)} malformed row(s) skipped, "
                    f"see {out / 'ingest_errors.log'}", err=True)
     manifest.write(out / "manifest.json")
@@ -120,9 +123,8 @@ def cmd_build(corpus_path, config_dir, out_path):
     out.parent.mkdir(parents=True, exist_ok=True)
     dictionary.save(d, out)
     if empty_docs:
-        with atomic_open(str(out) + ".skipped.log") as f:
-            for i, title in empty_docs:
-                f.write(f"record {i}\tno tokens after processing\t{title}\n")
+        _write_lines(str(out) + ".skipped.log", (f"record {i}\tno tokens after processing\t{title}"
+                                                 for i, title in empty_docs))
         click.echo(f"warning: {len(empty_docs)} document(s) produced no tokens", err=True)
     manifest.write(str(out) + ".manifest.json")
     click.echo(f"{len(d)} words written to {out}")
@@ -183,14 +185,10 @@ def cmd_stats(dict_path, fit_range, out_dir):
     cum = lexstats.cumulative(hist)
     tail = lexstats.tail(hist)
 
-    with atomic_open(out / "histogram.csv") as f:
-        f.write("documents,words\n")
-        for n in sorted(hist.counts):
-            f.write(f"{n},{hist.counts[n]}\n")
-    with atomic_open(out / "cumulative.csv") as f:
-        f.write("documents,words_at_or_below\n")
-        for n, g in cum:
-            f.write(f"{n},{g}\n")
+    _write_lines(out / "histogram.csv",
+                 ["documents,words", *(f"{n},{hist.counts[n]}" for n in sorted(hist.counts))])
+    _write_lines(out / "cumulative.csv",
+                 ["documents,words_at_or_below", *(f"{n},{g}" for n, g in cum)])
 
     fit = None
     fit_error = None
@@ -200,16 +198,11 @@ def cmd_stats(dict_path, fit_range, out_dir):
         fit_error = str(e)
         click.echo(f"warning: tail fit skipped ({e})", err=True)
 
-    with atomic_open(out / "tail.csv") as f:
-        f.write("documents,words_above,fitted\n")
-        for x, n_x in tail.points:
-            fitted = f"{fit.beta / x ** fit.alpha:.6f}" if fit else ""
-            f.write(f"{x},{n_x},{fitted}\n")
-    with atomic_open(out / "tail_loglog.csv") as f:
-        f.write("documents,words_above,log_documents,log_words_above\n")
-        for x, n_x in tail.points:
-            if n_x > 0:
-                f.write(f"{x},{n_x},{math.log(x):.9f},{math.log(n_x):.9f}\n")
+    _write_lines(out / "tail.csv", ["documents,words_above,fitted", *(
+        f"{x},{n_x}," + (f"{fit.beta / x ** fit.alpha:.6f}" if fit else "")
+        for x, n_x in tail.points)])
+    _write_lines(out / "tail_loglog.csv", ["documents,words_above,log_documents,log_words_above", *(
+        f"{x},{n_x},{math.log(x):.9f},{math.log(n_x):.9f}" for x, n_x in tail.points if n_x > 0)])
 
     with atomic_open(out / "pareto_fit.txt") as f:
         f.write(f"requested_range\t{fit_range if fit_range else 'full positive tail'}\n")
@@ -273,41 +266,28 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
 
 
 def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
-    with atomic_open(out / "coverage.tsv") as f:
-        f.write("headwords\tstems\tcovered\tcoverage_pct\n")
-        f.write(f"{report.n_headwords}\t{report.n_stems}\t{report.coverage_count}"
-                f"\t{_fmt_pct(report.coverage_pct)}\n")
-        for w in report.missing_words:
-            f.write(f"missing\t{w}\n")
-    with atomic_open(out / "fragments.tsv") as f:
-        f.write("fragment_size\tfound\tpct\tnewly_added\n")
-        for k, found, pct, added in report.fragment_table:
-            f.write(f"{k}\t{found}\t{_fmt_pct(pct)}\t{', '.join(added)}\n")
-    with atomic_open(out / "last_position.tsv") as f:
-        f.write("list_fragment\tlast_position\tpct_of_dictionary\n")
-        for m, pos, pct in report.last_position_table:
-            f.write(f"{m}\t{pos}\t{_fmt_pct(pct)}\n")
-    with atomic_open(out / "interval_overlaps.tsv") as f:
-        f.write("width\tintervals\toverlap_pct\n")
-        n = len(report.common_words)
-        for w, frac in sorted(report.interval_overlaps.items()):
-            f.write(f"{w}\t{-(-n // w) if w else 0}\t{_fmt_pct(frac)}\n")
-    with atomic_open(out / "top_bottom_overlap.tsv") as f:
-        f.write("n\ttop_common\tbottom_common\n")
-        for n_ in sorted(report.top_overlap):
-            f.write(f"{n_}\t{report.top_overlap[n_]}\t{report.bottom_overlap.get(n_, '')}\n")
-    with atomic_open(out / "correlations.tsv") as f:
-        f.write("test\tstatistic\n")
-        if report.pcc is not None:
-            f.write(f"PCC\t{report.pcc:.2f}\n")
-        if report.src is not None:
-            f.write(f"SRC\t{report.src:.2f}\n")
-        if report.pcc_log is not None:
-            f.write(f"PCC-log\t{report.pcc_log:.2f}\n")
-    with atomic_open(out / "same_rank.tsv") as f:
-        f.write("word\tposition\n")
-        for w, pos in report.same_rank_words:
-            f.write(f"{w}\t{pos}\n")
+    _write_lines(out / "coverage.tsv", [
+        "headwords\tstems\tcovered\tcoverage_pct",
+        f"{report.n_headwords}\t{report.n_stems}\t{report.coverage_count}"
+        f"\t{_fmt_pct(report.coverage_pct)}",
+        *(f"missing\t{w}" for w in report.missing_words)])
+    _write_lines(out / "fragments.tsv", ["fragment_size\tfound\tpct\tnewly_added", *(
+        f"{k}\t{found}\t{_fmt_pct(pct)}\t{', '.join(added)}"
+        for k, found, pct, added in report.fragment_table)])
+    _write_lines(out / "last_position.tsv", ["list_fragment\tlast_position\tpct_of_dictionary", *(
+        f"{m}\t{pos}\t{_fmt_pct(pct)}" for m, pos, pct in report.last_position_table)])
+    n = len(report.common_words)
+    _write_lines(out / "interval_overlaps.tsv", ["width\tintervals\toverlap_pct", *(
+        f"{w}\t{-(-n // w)}\t{_fmt_pct(frac)}"
+        for w, frac in sorted(report.interval_overlaps.items()))])
+    _write_lines(out / "top_bottom_overlap.tsv", ["n\ttop_common\tbottom_common", *(
+        f"{k}\t{report.top_overlap[k]}\t{report.bottom_overlap[k]}"
+        for k in sorted(report.top_overlap))])
+    correlations = (("PCC", report.pcc), ("SRC", report.src), ("PCC-log", report.pcc_log))
+    _write_lines(out / "correlations.tsv", ["test\tstatistic", *(
+        f"{name}\t{value:.2f}" for name, value in correlations if value is not None)])
+    _write_lines(out / "same_rank.tsv",
+                 ["word\tposition", *(f"{w}\t{pos}" for w, pos in report.same_rank_words)])
     summary = {
         "headwords": report.n_headwords,
         "stems": report.n_stems,

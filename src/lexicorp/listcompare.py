@@ -33,29 +33,10 @@ class WordListEntry:
 
 
 @dataclass(frozen=True)
-class ExternalWordList:
-    entries: tuple[WordListEntry, ...]
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class StemmedEntry:
     stem: str
     sfi_avg: float | None
     source_headwords: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class StemmedWordList:
-    entries: tuple[StemmedEntry, ...]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def stems(self) -> list[str]:
-        return [e.stem for e in self.entries]
 
 
 @dataclass
@@ -78,7 +59,7 @@ class ComparisonReport:
     same_rank_words: list[tuple[str, int]] = field(default_factory=list)
 
 
-def read_word_list(stream: IO[str]) -> ExternalWordList:
+def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
     """Read a "headword,sfi[,u,d]" CSV; a header row is detected and skipped.
 
     Files without a numeric second column yield entries with sfi=None;
@@ -107,7 +88,7 @@ def read_word_list(stream: IO[str]) -> ExternalWordList:
         if d is not None and not 0 <= d <= 1:
             logger.warning("row %d: dispersion %.3f outside [0, 1]", row_no, d)
         entries.append(WordListEntry(head, sfi, u, d))
-    return ExternalWordList(tuple(entries))
+    return tuple(entries)
 
 
 def _is_number(s: str) -> bool:
@@ -128,7 +109,7 @@ def _parse_float(s: str) -> float | None:
         return None
 
 
-def stem_merge(word_list: ExternalWordList) -> StemmedWordList:
+def stem_merge(word_list: Sequence[WordListEntry]) -> tuple[StemmedEntry, ...]:
     """Stem every headword and merge those sharing a stem.
 
     The merged entry averages the available frequency indices of its
@@ -137,7 +118,7 @@ def stem_merge(word_list: ExternalWordList) -> StemmedWordList:
     """
     groups: dict[str, list[WordListEntry]] = {}
     order: list[str] = []
-    for e in word_list.entries:
+    for e in word_list:
         s = stem(e.headword.lower())
         if s not in groups:
             groups[s] = []
@@ -151,22 +132,22 @@ def stem_merge(word_list: ExternalWordList) -> StemmedWordList:
         merged.append(StemmedEntry(s, sfi_avg, tuple(m.headword for m in members)))
     if all(e.sfi_avg is not None for e in merged):
         merged.sort(key=lambda e: (-e.sfi_avg, e.stem))
-    return StemmedWordList(tuple(merged))
+    return tuple(merged)
 
 
-def coverage(d: Dictionary, word_list: StemmedWordList) -> tuple[int, float, list[str]]:
+def coverage(d: Dictionary, word_list: Sequence[StemmedEntry]) -> tuple[int, float, list[str]]:
     """(count, fraction, missing stems) of the list found in the dictionary."""
     if len(word_list) == 0:
         raise ValueError("empty word list")
     vocab = d.ranks()
-    present = [e.stem for e in word_list.entries if e.stem in vocab]
-    missing = [e.stem for e in word_list.entries if e.stem not in vocab]
+    present = [e.stem for e in word_list if e.stem in vocab]
+    missing = [e.stem for e in word_list if e.stem not in vocab]
     return len(present), len(present) / len(word_list), missing
 
 
 def fragment_coverage(
     d: Dictionary,
-    word_list: StemmedWordList,
+    word_list: Sequence[StemmedEntry],
     ks: Sequence[int],
 ) -> list[tuple[int, int, float, list[str]]]:
     """Coverage of the list within the top-k dictionary fragments.
@@ -178,7 +159,7 @@ def fragment_coverage(
     n_list = len(word_list)
     if n_list == 0:
         raise ValueError("empty word list")
-    stems = word_list.stems()
+    stems = [e.stem for e in word_list]
     rows = []
     previous: set[str] = set()
     for k in sorted(set(ks)):
@@ -194,67 +175,29 @@ def fragment_coverage(
 
 def last_position(
     d: Dictionary,
-    word_list: StemmedWordList,
+    common: Sequence[StemmedEntry],
     fragment_sizes: Sequence[int],
 ) -> list[tuple[int, int, float]]:
-    """For the top-m list entries, the deepest dictionary rank they reach.
+    """For the top-m entries of `common`, the deepest dictionary rank they reach.
 
-    Rows are (m, max rank, fraction of the dictionary). Stems absent
-    from the dictionary are noted and skipped.
+    Rows are (m, max rank, fraction of the dictionary). Every stem must
+    be in the dictionary and every m between 1 and len(common).
     """
     ranks = d.ranks()
-    stems = word_list.stems()
     rows = []
     for m in sorted(set(fragment_sizes)):
-        m_eff = min(m, len(stems))
-        in_dict = [ranks[s] for s in stems[:m_eff] if s in ranks]
-        skipped = m_eff - len(in_dict)
-        if skipped:
-            logger.warning("top-%d: %d stems not in dictionary ignored", m, skipped)
-        if not in_dict:
-            continue
-        deepest = max(in_dict)
-        rows.append((m_eff, deepest, deepest / len(d)))
+        deepest = max(ranks[e.stem] for e in common[:m])
+        rows.append((m, deepest, deepest / len(d)))
     return rows
 
 
-def interval_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], width: int) -> float:
-    """Fraction of words that fall in the same width-sized interval of
-    both orderings (the last interval may be shorter)."""
-    if width < 1:
-        raise ValueError("interval width must be at least 1")
-    if set(ranks_a) != set(ranks_b) or len(ranks_a) != len(ranks_b):
-        raise ValueError("orderings must contain exactly the same words")
-    if len(ranks_a) == 0:
-        raise ValueError("empty orderings")
-    return _interval_overlaps(*_positions(ranks_a, ranks_b), [width])[width]
-
-
-def top_n_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], n: int) -> int:
-    _check_n(ranks_a, ranks_b, n)
-    return _top_bottom_overlaps(*_positions(ranks_a, ranks_b), len(ranks_a), [n])[0][n]
-
-
-def bottom_n_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], n: int) -> int:
-    _check_n(ranks_a, ranks_b, n)
-    return _top_bottom_overlaps(*_positions(ranks_a, ranks_b), len(ranks_a), [n])[1][n]
-
-
-def _check_n(ranks_a, ranks_b, n):
-    if len(ranks_a) != len(ranks_b):
-        raise ValueError("orderings must have equal length")
-    if not 0 <= n <= len(ranks_a):
-        raise ValueError(f"n must be between 0 and {len(ranks_a)}")
-
-
 def _positions(ranks_a: Sequence[str], ranks_b: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """0-based positions (pa, pb) in each ordering of the words found in both."""
+    """0-based positions (pa, pb) of each word in two orderings of the same words."""
     pos_b = dict(zip(ranks_b, range(len(ranks_b))))
     if len(pos_b) != len(ranks_b) or len(set(ranks_a)) != len(ranks_a):
         raise ValueError("orderings must not repeat a word")
-    pa = [i for i, w in enumerate(ranks_a) if w in pos_b]
-    pb = [pos_b[ranks_a[i]] for i in pa]
-    return np.array(pa, dtype=np.intp), np.array(pb, dtype=np.intp)
+    pb = [pos_b[w] for w in ranks_a]
+    return np.arange(len(ranks_a), dtype=np.intp), np.array(pb, dtype=np.intp)
 
 
 def _interval_overlaps(pa: np.ndarray, pb: np.ndarray, widths: Iterable[int]) -> dict[int, float]:
@@ -345,7 +288,7 @@ def default_widths(n_total: int) -> list[int]:
 
 def compare(
     d: Dictionary,
-    word_list: StemmedWordList,
+    word_list: Sequence[StemmedEntry],
     widths: Sequence[int] | None = None,
     tops: Sequence[int] | None = None,
     fragment_ks: Sequence[int] | None = None,
@@ -358,7 +301,7 @@ def compare(
     frequency index those analyses are skipped.
     """
     report = ComparisonReport(
-        n_headwords=sum(len(e.source_headwords) for e in word_list.entries),
+        n_headwords=sum(len(e.source_headwords) for e in word_list),
         n_stems=len(word_list),
         n_dict_words=len(d),
     )
@@ -371,13 +314,13 @@ def compare(
                                    75000, 80000) if k <= len(d)] + [len(d)]
     report.fragment_table = fragment_coverage(d, word_list, fragment_ks)
 
-    have_sfi = all(e.sfi_avg is not None for e in word_list.entries)
+    have_sfi = all(e.sfi_avg is not None for e in word_list)
     if not have_sfi:
         logger.warning("word list has no frequency index; rank analyses skipped")
         return report
 
     ranks = d.ranks()
-    common = [e for e in word_list.entries if e.stem in ranks]
+    common = [e for e in word_list if e.stem in ranks]
     if not common:
         return report
     report.common_words = [e.stem for e in common]
@@ -388,7 +331,7 @@ def compare(
     order_b = [e.stem for e in sorted(common, key=lambda e: (-e.sfi_avg, e.stem))]
 
     report.last_position_table = last_position(
-        d, StemmedWordList(tuple(common)), list(range(100, n_common, 100)) + [n_common])
+        d, common, list(range(100, n_common, 100)) + [n_common])
 
     if widths is None:
         widths = default_widths(n_common)

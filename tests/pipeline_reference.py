@@ -2,8 +2,9 @@
 
 This is the implementation `lexicorp.pipeline` replaced with its
 per-distinct-token memo, kept verbatim except that the step order is the
-canonical one. Tests compare the two on arbitrary text; do not optimise
-it.
+canonical one and that an empty substitution table leaves the text
+unchanged (its empty alternation used to raise KeyError ''). Tests
+compare the two on arbitrary text; do not optimise it.
 
 Step order (canonical): punctuation removal, lowercasing, prefix
 uniting, whole-token substitutions, hyphen removal, number removal,
@@ -64,6 +65,8 @@ def _subs_re(substitutions: tuple[tuple[str, str], ...]) -> re.Pattern:
 def apply_substitutions(text: str, substitutions) -> str:
     """Replace whole-token occurrences of the substitution keys."""
     substitutions = tuple(substitutions)
+    if not substitutions:
+        return text  # an empty alternation would match the empty string
     mapping = dict(substitutions)
     return _subs_re(substitutions).sub(lambda m: mapping[m.group(1)], text)
 

@@ -194,17 +194,17 @@ def test_criterion_6_comparison_algebra():
             rng.shuffle(b)
             n_total = len(words)
             width = rng.randint(1, n_total)
-            assert lc.interval_overlap(a, b, width) == lc.interval_overlap(b, a, width)
-            assert lc.interval_overlap(a, b, n_total) == 1.0
-            assert lc.top_n_overlap(a, b, n_total) == n_total
-            assert lc.bottom_n_overlap(a, b, n_total) == n_total
+            pa, pb = lc._positions(a, b)
+            qa, qb = lc._positions(b, a)
+            assert (lc._interval_overlaps(pa, pb, [width, n_total])
+                    == lc._interval_overlaps(qa, qb, [width, n_total]))
+            assert lc._interval_overlaps(pa, pb, [n_total]) == {n_total: 1.0}
+            assert lc._top_bottom_overlaps(pa, pb, n_total, [n_total]) == (
+                {n_total: n_total}, {n_total: n_total})
 
         d = dct.Dictionary([dct.DictEntry(w, i + 1, i + 2)
                             for i, w in enumerate(words[:50])])
-        wl = lc.StemmedWordList(tuple(
-            lc.StemmedEntry(w, 50.0 - i, (w,))
-            for i, w in enumerate(words[25:75])
-        ))
+        wl = tuple(lc.StemmedEntry(w, 50.0 - i, (w,)) for i, w in enumerate(words[25:75]))
         count, pct, missing = lc.coverage(d, wl)
         assert count + len(missing) == len(wl)
         assert count == 25

@@ -415,6 +415,100 @@ class TestCompare:
         assert not out.exists()
 
 
+class TestTableBytes:
+    """The exact bytes of every table the commands write on small fixtures.
+    The expected texts were taken from the code before the tables shared
+    one line writer; manifest.json holds a timestamp and is left out."""
+
+    def written(self, out):
+        return {p.name: p.read_text(encoding="utf-8") for p in sorted(Path(out).iterdir())
+                if p.name != "manifest.json"}
+
+    def test_ingest_and_build_tables(self, tmp_path):
+        src = tmp_path / "e.tsv"
+        src.write_text(
+            "AU\tTI\tAB\tWC\tSC\tZ9\tTC\n"
+            "A\tGood\t" + "w1 " * 30 + "\tP\tS\t0\t0\n"
+            "short\trow\n"
+            "A\tStops\t" + "the and or " * 10 + "\tP\tS\t0\t0\n"
+            "A\tMore\t" + "w2 " * 31 + "\tP\tS\t0\t0\n"
+            "A\tB\tC\n", encoding="utf-8")
+        out = tmp_path / "ing"
+        assert main(["ingest", str(src), "--out", str(out)]) == 0
+        got = self.written(out)
+        assert got["lengths.csv"] == "length,documents\n30,2\n31,1\n"
+        assert got["ingest_errors.log"] == ("line 3\texpected 7 columns, got 2\n"
+                                            "line 6\texpected 7 columns, got 3\n")
+        assert got["ingest_report.tsv"] == (
+            "n_parsed\t3\nn_after_field_filter\t3\nn_after_length_filter\t3\n"
+            "n_headings_split\t0\nmean_length\t30.333\n")
+        dict_path = tmp_path / "d.tsv"
+        assert main(["build", str(out / "corpus.tsv"), "--out", str(dict_path)]) == 0
+        assert (read(str(dict_path) + ".skipped.log")
+                == "record 2\tno tokens after processing\tStops\n")
+
+    def test_stats_tables(self, tmp_path):
+        doc_counts = [1] * 30 + [2] * 14 + [3] * 6 + [5] * 3 + [9, 9, 20]
+        dict_path = tmp_path / "d.tsv"
+        dct.save(dct.Dictionary([dct.DictEntry(f"w{i}", c, c + 1)
+                                 for i, c in enumerate(doc_counts)]), dict_path)
+        out = tmp_path / "stats"
+        assert main(["stats", str(dict_path), "--out", str(out)]) == 0
+        assert self.written(out) == {
+            "cumulative.csv": "documents,words_at_or_below\n"
+                              "1,30\n2,44\n3,50\n5,53\n9,55\n20,56\n",
+            "histogram.csv": "documents,words\n1,30\n2,14\n3,6\n5,3\n9,2\n20,1\n",
+            "pareto_fit.txt": "requested_range\tfull positive tail\nalpha\t1.266414\n"
+                              "beta\t26.231905\nmse\t0.418451\nfit_range\t1:9\nx_m\t1\n"
+                              "n_points\t5\nloglog_slope\t-1.483122\n",
+            "tail.csv": "documents,words_above,fitted\n1,26,26.231905\n2,12,10.904384\n"
+                        "3,6,6.525242\n5,3,3.416994\n9,1,1.623168\n20,0,0.590455\n",
+            "tail_loglog.csv": "documents,words_above,log_documents,log_words_above\n"
+                               "1,26,0.000000000,3.258096538\n"
+                               "2,12,0.693147181,2.484906650\n"
+                               "3,6,1.098612289,1.791759469\n"
+                               "5,3,1.609437912,1.098612289\n"
+                               "9,1,2.197224577,0.000000000\n",
+        }
+
+    def test_compare_tables(self, tmp_path):
+        dict_path, wl_path = TestCompare().make_inputs(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(dict_path), str(wl_path), "--widths", "4,2,6",
+                     "--tops", "6,0,2", "--fragments", "3,5,10", "--out", str(out)]) == 0
+        got = self.written(out)
+        text = got.pop("summary.json")
+        summary = json.loads(text)
+        assert text == json.dumps(summary, indent=2) + "\n"
+        # np.log may differ in the last bit between CPUs, so PCC-log is compared
+        # to 12 places; every other value is exact.
+        assert summary.pop("pcc_log") == pytest.approx(0.6480524511499637, abs=1e-12)
+        assert list(summary.items()) == [
+            ("headwords", 7), ("stems", 7), ("dictionary_words", 10), ("coverage_count", 6),
+            ("coverage_pct", 85.7), ("missing_words", ["zz"]),
+            ("src", 0.7142857142857143), ("pcc", 0.7142857142857143),
+            ("same_rank_count", 2),
+            ("top_overlap", {"0": 0, "2": 2, "6": 6}),
+            ("bottom_overlap", {"0": 0, "2": 1, "6": 6}),
+            ("interval_overlap_pct", {"2": 66.7, "4": 66.7, "6": 100.0}),
+        ]
+        assert list(summary["top_overlap"]) == list(summary["bottom_overlap"]) == ["0", "2", "6"]
+        assert got == {
+            "correlations.tsv": "test\tstatistic\nPCC\t0.71\nSRC\t0.71\nPCC-log\t0.65\n",
+            "coverage.tsv": "headwords\tstems\tcovered\tcoverage_pct\n7\t7\t6\t85.7%\n"
+                            "missing\tzz\n",
+            "fragments.tsv": "fragment_size\tfound\tpct\tnewly_added\n3\t3\t42.9%\ta, b, c\n"
+                             "5\t5\t71.4%\td, e\n10\t6\t85.7%\tf\n",
+            "interval_overlaps.tsv": "width\tintervals\toverlap_pct\n2\t3\t66.7%\n"
+                                     "4\t2\t66.7%\n6\t1\t100.0%\n",
+            "last_position.tsv": "list_fragment\tlast_position\tpct_of_dictionary\n"
+                                 "6\t6\t60.0%\n",
+            "same_rank.tsv": "word\tposition\nc\t3\ne\t5\n",
+            "top_bottom_overlap.tsv": "n\ttop_common\tbottom_common\n0\t0\t0\n2\t2\t1\n"
+                                      "6\t6\t6\n",
+        }
+
+
 class TestGen:
     def test_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -61,9 +61,18 @@ def make_dict(words_with_counts):
 
 
 def stemmed(entries):
-    return lc.StemmedWordList(tuple(
-        lc.StemmedEntry(s, sfi, (s,)) for s, sfi in entries
-    ))
+    return tuple(lc.StemmedEntry(s, sfi, (s,)) for s, sfi in entries)
+
+
+def same_interval_share(ranks_a, ranks_b, width):
+    """What `compare` reports for one width over two orderings of the same words."""
+    return lc._interval_overlaps(*lc._positions(ranks_a, ranks_b), [width])[width]
+
+
+def top_bottom_counts(ranks_a, ranks_b, n):
+    """What `compare` reports as (top-n, bottom-n) overlap for one n."""
+    top, bottom = lc._top_bottom_overlaps(*lc._positions(ranks_a, ranks_b), len(ranks_a), [n])
+    return top[n], bottom[n]
 
 
 # ---------------------------------------------------------------- tests
@@ -71,15 +80,15 @@ def stemmed(entries):
 class TestReadWordList:
     def test_full_columns(self):
         wl = lc.read_word_list(io.StringIO("headword,sfi,u,d\nfoo,60.5,100,0.9\n"))
-        assert wl.entries == (lc.WordListEntry("foo", 60.5, 100.0, 0.9),)
+        assert wl == (lc.WordListEntry("foo", 60.5, 100.0, 0.9),)
 
     def test_sfi_only(self):
         wl = lc.read_word_list(io.StringIO("bar,42.0\n"))
-        assert wl.entries[0].sfi == 42.0 and wl.entries[0].u is None
+        assert wl[0].sfi == 42.0 and wl[0].u is None
 
     def test_no_sfi_column(self):
         wl = lc.read_word_list(io.StringIO("word\nfoo\nbar\n"))
-        assert len(wl) == 2 and all(e.sfi is None for e in wl.entries)
+        assert len(wl) == 2 and all(e.sfi is None for e in wl)
 
     @pytest.mark.parametrize("text,where", [
         ("foo,nan\n", "row 1: sfi 'nan'"),
@@ -100,36 +109,28 @@ class TestReadWordList:
 
 class TestStemMerge:
     def test_merges_and_averages(self):
-        wl = lc.ExternalWordList((
-            lc.WordListEntry("accumulate", 60.0),
-            lc.WordListEntry("accumulation", 50.0),
-        ))
+        wl = (lc.WordListEntry("accumulate", 60.0), lc.WordListEntry("accumulation", 50.0))
         sm = lc.stem_merge(wl)
         assert len(sm) == 1
-        assert sm.entries[0].stem == "accumul"
-        assert sm.entries[0].sfi_avg == pytest.approx(55.0)
-        assert sm.entries[0].source_headwords == ("accumulate", "accumulation")
+        assert sm[0].stem == "accumul"
+        assert sm[0].sfi_avg == pytest.approx(55.0)
+        assert sm[0].source_headwords == ("accumulate", "accumulation")
 
     def test_already_a_stem(self):
-        wl = lc.ExternalWordList((lc.WordListEntry("acid", 33.0),))
-        sm = lc.stem_merge(wl)
-        assert sm.entries[0].stem == "acid"
-        assert sm.entries[0].sfi_avg == 33.0
+        sm = lc.stem_merge((lc.WordListEntry("acid", 33.0),))
+        assert sm == (lc.StemmedEntry("acid", 33.0, ("acid",)),)
 
     def test_count_shrinks(self):
-        wl = lc.ExternalWordList(tuple(
-            lc.WordListEntry(w, 50.0)
-            for w in ("acid", "acidic", "acids", "decay", "decays")
-        ))
+        wl = [lc.WordListEntry(w, 50.0) for w in ("acid", "acidic", "acids", "decay", "decays")]
         assert len(lc.stem_merge(wl)) == 2
 
     def test_ordered_by_average_descending(self):
-        wl = lc.ExternalWordList((
+        wl = (
             lc.WordListEntry("decay", 40.0),
             lc.WordListEntry("acid", 70.0),
             lc.WordListEntry("acidic", 60.0),
-        ))
-        assert [e.stem for e in lc.stem_merge(wl).entries] == ["acid", "decay"]
+        )
+        assert [e.stem for e in lc.stem_merge(wl)] == ["acid", "decay"]
 
 
 class TestCoverage:
@@ -151,7 +152,7 @@ class TestCoverage:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty word list"):
-            lc.coverage(make_dict([("a", 1)]), lc.StemmedWordList(()))
+            lc.coverage(make_dict([("a", 1)]), ())
 
 
 class TestFragmentCoverage:
@@ -192,39 +193,29 @@ class TestLastPosition:
         rows = lc.last_position(d, stemmed([("top", 50)]), [1])
         assert rows[0][1] == 1
 
-    def test_absent_words_skipped(self, caplog):
-        d = make_dict([("a", 9)])
-        with caplog.at_level("WARNING"):
-            rows = lc.last_position(d, stemmed([("zz", 60), ("a", 50)]), [2])
-        assert rows == [(2, 1, 1.0)]
-        assert any("not in dictionary" in m for m in caplog.messages)
-
 
 class TestIntervalOverlap:
     A = list("abcdefghij")
     B = ["b", "a", "c", "f", "e", "d", "j", "i", "h", "g"]
 
     def test_single_interval_is_one(self):
-        assert lc.interval_overlap(self.A, self.B, 10) == 1.0
+        assert same_interval_share(self.A, self.B, 10) == 1.0
 
     def test_width_five(self):
-        assert lc.interval_overlap(self.A, self.B, 5) == pytest.approx(0.8)
+        assert same_interval_share(self.A, self.B, 5) == pytest.approx(0.8)
 
     def test_width_three_with_short_tail(self):
-        assert lc.interval_overlap(self.A, self.B, 3) == pytest.approx(0.8)
+        assert same_interval_share(self.A, self.B, 3) == pytest.approx(0.8)
 
     def test_symmetry(self):
         for w in (1, 2, 3, 4, 5, 7, 10):
-            assert lc.interval_overlap(self.A, self.B, w) == \
-                lc.interval_overlap(self.B, self.A, w)
+            assert same_interval_share(self.A, self.B, w) == same_interval_share(self.B, self.A, w)
 
     def test_bad_width(self):
-        with pytest.raises(ValueError):
-            lc.interval_overlap(self.A, self.B, 0)
-
-    def test_mismatched_words(self):
-        with pytest.raises(ValueError):
-            lc.interval_overlap(["a", "b"], ["a", "c"], 1)
+        # compare keeps only the widths of at least 1
+        d = make_dict([(w, 20 - i) for i, w in enumerate(self.A)])
+        wl = stemmed([(w, 20.0 - i) for i, w in enumerate(self.B)])
+        assert list(lc.compare(d, wl, widths=[0, 5]).interval_overlaps) == [5]
 
 
 class TestTopBottomOverlap:
@@ -232,25 +223,27 @@ class TestTopBottomOverlap:
     B = ["b", "a", "c", "f", "e", "d", "j", "i", "h", "g"]
 
     def test_top(self):
-        assert lc.top_n_overlap(self.A, self.B, 3) == 3
-        assert lc.top_n_overlap(self.A, self.B, 4) == 3
+        assert top_bottom_counts(self.A, self.B, 3)[0] == 3
+        assert top_bottom_counts(self.A, self.B, 4)[0] == 3
 
     def test_bottom(self):
-        assert lc.bottom_n_overlap(self.A, self.B, 3) == 2
+        assert top_bottom_counts(self.A, self.B, 3)[1] == 2
 
     def test_full_length(self):
         n = len(self.A)
-        assert lc.top_n_overlap(self.A, self.B, n) == n
-        assert lc.bottom_n_overlap(self.A, self.B, n) == n
+        assert top_bottom_counts(self.A, self.B, n) == (n, n)
 
     def test_n_out_of_range(self):
-        with pytest.raises(ValueError):
-            lc.top_n_overlap(self.A, self.B, 11)
+        # compare keeps only the sizes from 0 to the number of common words
+        d = make_dict([(w, 20 - i) for i, w in enumerate(self.A)])
+        wl = stemmed([(w, 20.0 - i) for i, w in enumerate(self.B)])
+        report = lc.compare(d, wl, tops=[-1, 0, 10, 11])
+        assert list(report.top_overlap) == list(report.bottom_overlap) == [0, 10]
 
     def test_repeated_word_rejected(self):
-        for overlap in (lc.top_n_overlap, lc.bottom_n_overlap, lc.interval_overlap):
+        for a, b in ((["a", "a", "b"], ["a", "b"]), (["a", "b"], ["a", "b", "b"])):
             with pytest.raises(ValueError, match="repeat"):
-                overlap(["a", "a", "b"], ["a", "b", "b"], 1)
+                lc._positions(a, b)
 
 
 class TestSameRank:
@@ -374,9 +367,7 @@ class TestCompareDriver:
 
     def test_no_sfi_skips_rank_analyses(self, caplog):
         d, _ = self.build_inputs()
-        wl = lc.StemmedWordList(tuple(
-            lc.StemmedEntry(s, None, (s,)) for s in "abc"
-        ))
+        wl = tuple(lc.StemmedEntry(s, None, (s,)) for s in "abc")
         with caplog.at_level("WARNING"):
             report = lc.compare(d, wl)
         assert report.coverage_count == 3
@@ -388,8 +379,7 @@ class TestCompareDriver:
 @given(st.permutations(list("abcdefghijkl")), st.integers(1, 12))
 def test_interval_overlap_symmetric_property(perm, width):
     base = list("abcdefghijkl")
-    assert lc.interval_overlap(base, perm, width) == \
-        lc.interval_overlap(perm, base, width)
+    assert same_interval_share(base, perm, width) == same_interval_share(perm, base, width)
 
 
 def test_default_widths_ladder():
@@ -402,26 +392,16 @@ def test_default_widths_ladder():
 # Differential tests against the set-based overlaps in compare_reference.
 
 
-@st.composite
-def orderings(draw):
-    """Two orderings of equal length; the second shares `shared` words with the first."""
-    n = draw(st.integers(1, 40))
-    a = draw(st.permutations([f"w{i}" for i in range(n)]))
-    shared = draw(st.integers(0, n))
-    b = draw(st.permutations(a[:shared] + [f"x{i}" for i in range(n - shared)]))
-    return a, b
-
-
 @settings(max_examples=300, deadline=None)
-@given(orderings(), st.data())
-def test_overlaps_match_reference(ab, data):
-    a, b = ab
-    n = data.draw(st.integers(0, len(a)))
-    assert lc.top_n_overlap(a, b, n) == ref.top_n_overlap(a, b, n)
-    assert lc.bottom_n_overlap(a, b, n) == ref.bottom_n_overlap(a, b, n)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations([f"w{i}" for i in range(n)])),
+       st.data())
+def test_overlaps_match_reference(a, data):
     b = data.draw(st.permutations(a))
+    n = data.draw(st.integers(0, len(a)))
+    assert top_bottom_counts(a, b, n) == (ref.top_n_overlap(a, b, n),
+                                          ref.bottom_n_overlap(a, b, n))
     width = data.draw(st.integers(1, len(a) + 2))
-    assert lc.interval_overlap(a, b, width) == ref.interval_overlap(a, b, width)
+    assert same_interval_share(a, b, width) == ref.interval_overlap(a, b, width)
 
 
 @settings(max_examples=100, deadline=None)
