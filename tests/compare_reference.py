@@ -2,8 +2,8 @@
 one pair of sets per interval, per top-n and per bottom-n, and the
 fractional ranks as they were before the grouped-array code: one loop
 over runs of tied values. Kept verbatim as the oracles that
-tests/test_listcompare.py checks `interval_overlap`, `top_n_overlap`,
-`bottom_n_overlap`, `compare` and `_fractional_ranks` against.
+tests/test_listcompare.py checks `_positions`, `_interval_overlaps`,
+`_top_bottom_overlaps`, `compare` and `_fractional_ranks` against.
 """
 
 from __future__ import annotations

@@ -561,6 +561,13 @@ class TestPipelineCommand:
             assert (out / name).exists()
         assert (out / "stats" / "histogram.csv").exists()
 
+    def test_negative_threshold_is_refused_before_any_file_is_read(self, tmp_path, export_file,
+                                                                   capsys):
+        out = tmp_path / "run"
+        assert main(["pipeline", str(export_file), "--threshold", "-1", "--out", str(out)]) == 1
+        assert "usage error: --threshold must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_leave_no_temporary_files(self, tmp_path, export_file):
         out = tmp_path / "run"
         assert main(["pipeline", str(export_file), "--threshold", "0", "--out", str(out)]) == 0

@@ -2,6 +2,7 @@ import gc
 import io
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -409,6 +410,40 @@ def test_blank_lines_on_chunk_boundaries_match_reference(body, eol):
                         == _outcome(ref.deserialize, text, as_file)), (chunk_chars, as_file)
 
 
+def _same_hash(words):
+    return np.zeros(len(words), np.int64)
+
+
+@pytest.mark.parametrize("chunk_chars", [1 << 19, 1, 7, 64])
+def test_deserialize_matches_reference_with_every_hash_clashing(chunk_chars):
+    # Every row clashes with every other, so repeats are told apart from
+    # clashes by the words alone.
+    with mock.patch.object(dct, "_word_hashes", _same_hash), \
+            mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars):
+        test_deserialize_matches_reference()
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("body", BLANK_LINE_BODIES)
+def test_blank_lines_match_reference_with_every_hash_clashing(body, eol):
+    with mock.patch.object(dct, "_word_hashes", _same_hash):
+        test_blank_lines_on_chunk_boundaries_match_reference(body, eol)
+
+
+@pytest.mark.parametrize("clash", [False, True])
+@pytest.mark.parametrize("n_rows, chunk_chars", [(200, 64), (60_000, 1 << 19)])
+def test_repeat_in_a_later_chunk_matches_reference(n_rows, chunk_chars, clash):
+    rows = [f"w{i:05d}\t{n_rows - i}\t{n_rows - i}\n" for i in range(n_rows)]
+    rows.insert(n_rows - 10, "w00010\t5\t5\n")
+    text = "#lexicorp-dict v1 threshold=0 config=c\n" + "".join(rows)
+    assert len(text) > 2 * chunk_chars  # the repeat comes chunks after the first
+    with mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars), \
+            mock.patch.object(dct, "_word_hashes", _same_hash if clash else dct._word_hashes):
+        got = _outcome(dct.deserialize, text, False)
+    assert got == _outcome(ref.deserialize, text, False)
+    assert got[:2] == ("error", n_rows - 8)
+
+
 def test_count_above_int64_is_a_format_error():
     header = "#lexicorp-dict v1 threshold=0 config=c\n"
     big = 2**63
@@ -428,7 +463,7 @@ def test_serialize_matches_reference(token_lists, provenance):
     d.provenance = provenance
     want, got = io.StringIO(), io.StringIO()
     ref.serialize(d.entries, provenance, want)
-    with mock.patch.object(dct, "_ROWS_PER_WRITE", 3):
+    with mock.patch.object(dct, "_CHARS_PER_WRITE", 3):
         dct.serialize(d, got)
     assert got.getvalue() == want.getvalue()
 
@@ -450,6 +485,8 @@ def test_loaded_dictionary_holds_less_than_its_entries():
     entries = held(lambda: [DictEntry(w, int(d), int(c)) for w, d, c in
                             (line.split("\t") for line in text.splitlines()[1:])])
     assert columns < entries
+    # The words are held as one string, not as a string object each.
+    assert columns < sum(sys.getsizeof(w) for w, _, _ in rows)
 
 
 def test_deserialize_restores_the_collector_state():
