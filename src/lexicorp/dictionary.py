@@ -89,7 +89,6 @@ class Dictionary:
         doc.flags.writeable = corpus.flags.writeable = False
         self._text, self.doc, self.corpus = text, doc, corpus
         self.provenance = provenance
-        self._rank: dict[str, int] | None = None
 
     @property
     def entries(self) -> list[DictEntry]:
@@ -111,13 +110,8 @@ class Dictionary:
         return self._text.split("\n") if self._text else []
 
     def ranks(self) -> dict[str, int]:
-        """word -> 1-based rank in canonical order (cached)."""
-        if self._rank is None:
-            self._rank = dict(zip(self.words(), range(1, len(self) + 1)))
-        return self._rank
-
-    def doc_counts(self) -> dict[str, int]:
-        return dict(zip(self.words(), self.doc.tolist()))
+        """word -> 1-based rank in canonical order, built afresh on each call."""
+        return dict(zip(self.words(), range(1, len(self) + 1)))
 
 
 def _check_words(words: Iterable[str]) -> None:
@@ -196,8 +190,9 @@ def merge(a: Dictionary, b: Dictionary) -> Dictionary:
     doc_counts: Counter = Counter()
     corpus_counts: Counter = Counter()
     for d in (a, b):
-        doc_counts.update(d.doc_counts())
-        corpus_counts.update(dict(zip(d.words(), d.corpus.tolist())))
+        words = d.words()
+        doc_counts.update(dict(zip(words, d.doc.tolist())))
+        corpus_counts.update(dict(zip(words, d.corpus.tolist())))
     pa, pb = a.provenance, b.provenance
     corpus_id = pa.corpus_id if pa.corpus_id == pb.corpus_id else ""
     return _from_counts(doc_counts, corpus_counts, Provenance(corpus_id, pa.config_hash))

@@ -13,6 +13,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
         head = row[0].strip().lower()
         rest = [c.strip() for c in row[1:]]
         if row_no == 1:
-            looks_numeric = any(_is_number(c) for c in rest if c)
+            looks_numeric = any(_parse_float(c) is not None for c in rest if c)
             if (rest and not looks_numeric) or head in ("headword", "word", "lemma"):
                 continue  # header row
         values = []
@@ -89,14 +90,6 @@ def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
             logger.warning("row %d: dispersion %.3f outside [0, 1]", row_no, d)
         entries.append(WordListEntry(head, sfi, u, d))
     return tuple(entries)
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def _parse_float(s: str) -> float | None:
@@ -135,71 +128,6 @@ def stem_merge(word_list: Sequence[WordListEntry]) -> tuple[StemmedEntry, ...]:
     return tuple(merged)
 
 
-def coverage(d: Dictionary, word_list: Sequence[StemmedEntry]) -> tuple[int, float, list[str]]:
-    """(count, fraction, missing stems) of the list found in the dictionary."""
-    if len(word_list) == 0:
-        raise ValueError("empty word list")
-    vocab = d.ranks()
-    present = [e.stem for e in word_list if e.stem in vocab]
-    missing = [e.stem for e in word_list if e.stem not in vocab]
-    return len(present), len(present) / len(word_list), missing
-
-
-def fragment_coverage(
-    d: Dictionary,
-    word_list: Sequence[StemmedEntry],
-    ks: Sequence[int],
-) -> list[tuple[int, int, float, list[str]]]:
-    """Coverage of the list within the top-k dictionary fragments.
-
-    Returns rows (k, found, fraction-of-list, words newly found since
-    the previous fragment); k values beyond the dictionary are clamped.
-    """
-    ranks = d.ranks()
-    n_list = len(word_list)
-    if n_list == 0:
-        raise ValueError("empty word list")
-    stems = [e.stem for e in word_list]
-    rows = []
-    previous: set[str] = set()
-    for k in sorted(set(ks)):
-        k_eff = min(k, len(d))
-        if k_eff < k:
-            logger.warning("fragment size %d clamped to dictionary size %d", k, len(d))
-        found = {s for s in stems if ranks.get(s, 1 << 62) <= k_eff}
-        added = sorted(found - previous, key=lambda s: ranks[s])
-        rows.append((k_eff, len(found), len(found) / n_list, added))
-        previous = found
-    return rows
-
-
-def last_position(
-    d: Dictionary,
-    common: Sequence[StemmedEntry],
-    fragment_sizes: Sequence[int],
-) -> list[tuple[int, int, float]]:
-    """For the top-m entries of `common`, the deepest dictionary rank they reach.
-
-    Rows are (m, max rank, fraction of the dictionary). Every stem must
-    be in the dictionary and every m between 1 and len(common).
-    """
-    ranks = d.ranks()
-    rows = []
-    for m in sorted(set(fragment_sizes)):
-        deepest = max(ranks[e.stem] for e in common[:m])
-        rows.append((m, deepest, deepest / len(d)))
-    return rows
-
-
-def _positions(ranks_a: Sequence[str], ranks_b: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """0-based positions (pa, pb) of each word in two orderings of the same words."""
-    pos_b = dict(zip(ranks_b, range(len(ranks_b))))
-    if len(pos_b) != len(ranks_b) or len(set(ranks_a)) != len(ranks_a):
-        raise ValueError("orderings must not repeat a word")
-    pb = [pos_b[w] for w in ranks_a]
-    return np.arange(len(ranks_a), dtype=np.intp), np.array(pb, dtype=np.intp)
-
-
 def _interval_overlaps(pa: np.ndarray, pb: np.ndarray, widths: Iterable[int]) -> dict[int, float]:
     """width -> fraction of the words whose interval index agrees in both orderings."""
     return {w: int(np.count_nonzero(pa // w == pb // w)) / len(pa) for w in widths}
@@ -217,11 +145,6 @@ def _top_bottom_overlaps(pa: np.ndarray, pb: np.ndarray, total: int,
     return {n: int(top[n]) for n in ns}, {n: int(bottom[n]) for n in ns}
 
 
-def same_rank_words(ranks_a: Sequence[str], ranks_b: Sequence[str]) -> list[tuple[str, int]]:
-    """Words occupying the same 1-based position in both orderings."""
-    return [(a, i) for i, (a, b) in enumerate(zip(ranks_a, ranks_b), 1) if a == b]
-
-
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions.
     A NaN ties with nothing, as NaN != NaN (np.unique would join them)."""
@@ -234,49 +157,21 @@ def _fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
+def _pearson(x: np.ndarray, y: np.ndarray, name: str) -> float | None:
+    """Product-moment correlation of two equal-length arrays. Where it is
+    undefined (fewer than 2 pairs, or an array without variance) it is
+    None, with a warning naming the statistic."""
+    if len(x) < 2:
+        logger.warning("%s unavailable: fewer than 2 common words", name)
+        return None
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(np.dot(xc, xc))
     syy = float(np.dot(yc, yc))
     if sxx == 0 or syy == 0:
-        raise ValueError("zero variance")
+        logger.warning("%s unavailable: zero variance", name)
+        return None
     return float(np.dot(xc, yc) / np.sqrt(sxx * syy))
-
-
-def pearson(pairs: Iterable[tuple[float, float]]) -> float:
-    """Product-moment correlation of the raw value pairs."""
-    x, y = _split_pairs(pairs)
-    return _pearson_arrays(x, y)
-
-
-def pearson_log(pairs, labels: Sequence[str] | None = None) -> float:
-    """Pearson correlation of the natural-log-transformed values."""
-    x, y = _split_pairs(pairs)
-    for i in range(len(x)):
-        if x[i] <= 0 or y[i] <= 0:
-            which = labels[i] if labels is not None else f"pair {i + 1}"
-            raise ValueError(f"non-positive value under log for {which}")
-    return _pearson_arrays(np.log(x), np.log(y))
-
-
-def spearman(pairs: Iterable[tuple[float, float]]) -> float:
-    """Rank correlation: Pearson of the fractional-rank vectors."""
-    x, y = _split_pairs(pairs)
-    rx, ry = _fractional_ranks(x), _fractional_ranks(y)
-    try:
-        return _pearson_arrays(rx, ry)
-    except ValueError:
-        raise ValueError("zero rank variance") from None
-
-
-def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        raise ValueError("need at least 2 pairs")
-    x = np.array([p[0] for p in pairs], dtype=float)
-    y = np.array([p[1] for p in pairs], dtype=float)
-    return x, y
 
 
 def default_widths(n_total: int) -> list[int]:
@@ -295,58 +190,80 @@ def compare(
 ) -> ComparisonReport:
     """Run the full comparison suite and collect a ComparisonReport.
 
-    Rank-based analyses restrict both lists to the common words: the
-    dictionary side keeps its canonical order, the word-list side is
-    ordered by averaged frequency index. When the list carries no
-    frequency index those analyses are skipped.
+    Every table is read off one array: the dictionary rank of each stem
+    of `word_list`, 0 for a stem the dictionary lacks. Rank analyses
+    restrict both lists to the common words: ordering A is the
+    dictionary's canonical order, ordering B the order of `word_list`,
+    which `stem_merge` sorts by averaged frequency index. When the list
+    carries no frequency index those analyses are skipped.
     """
+    if len(word_list) == 0:
+        raise ValueError("empty word list")
+    stems = [e.stem for e in word_list]
+    if len(set(stems)) != len(stems):
+        raise ValueError("the word list must not repeat a stem")
+    ranks = d.ranks()
+    rank = np.fromiter((ranks.get(s, 0) for s in stems), np.int64, len(stems))
+    common = np.flatnonzero(rank)  # list positions of the common words
+    common_rank = rank[common]
+    by_rank = np.argsort(common_rank)  # ordering A, as positions in ordering B
+    n_common = len(common)
     report = ComparisonReport(
         n_headwords=sum(len(e.source_headwords) for e in word_list),
-        n_stems=len(word_list),
+        n_stems=len(stems),
         n_dict_words=len(d),
+        coverage_count=n_common,
+        coverage_pct=n_common / len(stems),
+        missing_words=list(compress(stems, (rank == 0).tolist())),
     )
-    count, pct, missing = coverage(d, word_list)
-    report.coverage_count, report.coverage_pct, report.missing_words = count, pct, missing
 
     if fragment_ks is None:
         fragment_ks = [k for k in (1000, 5000, 10000, 15000, 20000, 25000, 30000,
                                    35000, 40000, 45000, 50000, 55000, 60000,
                                    75000, 80000) if k <= len(d)] + [len(d)]
-    report.fragment_table = fragment_coverage(d, word_list, fragment_ks)
+    # Row k counts the common words of dictionary rank up to k; those not
+    # in the previous row are listed in dictionary order.
+    sorted_ranks = common_rank[by_rank]
+    found = 0
+    for k in sorted(set(fragment_ks)):
+        k_eff = min(k, len(d))
+        if k_eff < k:
+            logger.warning("fragment size %d clamped to dictionary size %d", k, len(d))
+        previous, found = found, int(np.searchsorted(sorted_ranks, k_eff, side="right"))
+        added = [stems[i] for i in common[by_rank[previous:found]].tolist()]
+        report.fragment_table.append((k_eff, found, found / len(stems), added))
 
-    have_sfi = all(e.sfi_avg is not None for e in word_list)
-    if not have_sfi:
+    if any(e.sfi_avg is None for e in word_list):
         logger.warning("word list has no frequency index; rank analyses skipped")
         return report
-
-    ranks = d.ranks()
-    common = [e for e in word_list if e.stem in ranks]
-    if not common:
+    if not n_common:
         return report
-    report.common_words = [e.stem for e in common]
-    n_common = len(common)
+    report.common_words = [stems[i] for i in common.tolist()]
 
-    # ordering A: dictionary canonical order; ordering B: list order
-    order_a = sorted((e.stem for e in common), key=lambda s: ranks[s])
-    order_b = [e.stem for e in sorted(common, key=lambda e: (-e.sfi_avg, e.stem))]
-
-    report.last_position_table = last_position(
-        d, common, list(range(100, n_common, 100)) + [n_common])
+    deepest = np.maximum.accumulate(common_rank).tolist()
+    report.last_position_table = [
+        (m, deepest[m - 1], deepest[m - 1] / len(d))
+        for m in sorted(set(range(100, n_common, 100)) | {n_common})]
 
     if widths is None:
         widths = default_widths(n_common)
     if tops is None:
         tops = default_widths(n_common)
-    pa, pb = _positions(order_a, order_b)
+    pa, pb = np.arange(n_common), by_rank
     report.interval_overlaps = _interval_overlaps(pa, pb, [w for w in widths if 1 <= w])
     report.top_overlap, report.bottom_overlap = _top_bottom_overlaps(
         pa, pb, n_common, [n for n in tops if 0 <= n <= n_common])
+    report.same_rank_words = [(report.common_words[i], i + 1)
+                              for i in np.flatnonzero(pa == pb).tolist()]
 
-    doc_counts = d.doc_counts()
-    pairs = [(doc_counts[e.stem], e.sfi_avg) for e in common]
-    labels = [e.stem for e in common]
-    report.src = spearman(pairs)
-    report.pcc = pearson(pairs)
-    report.pcc_log = pearson_log(pairs, labels)
-    report.same_rank_words = same_rank_words(order_a, order_b)
+    x = d.doc[common_rank - 1].astype(float)
+    y = np.array([word_list[i].sfi_avg for i in common.tolist()], dtype=float)
+    report.src = _pearson(_fractional_ranks(x), _fractional_ranks(y), "src")
+    report.pcc = _pearson(x, y, "pcc")
+    non_positive = np.flatnonzero(y <= 0)  # doc counts are at least 1
+    if len(non_positive):
+        logger.warning("pcc_log unavailable: non-positive value under log for %s",
+                       report.common_words[non_positive[0]])
+    else:
+        report.pcc_log = _pearson(np.log(x), np.log(y), "pcc_log")
     return report

@@ -29,7 +29,8 @@ from lexicorp.config import PipelineConfig, default_config
 from lexicorp.stemmer import stem
 
 from test_dictionary import naive_recount
-from test_listcompare import oracle_pearson, oracle_spearman
+from test_listcompare import (compare_orderings, oracle_pearson, oracle_spearman, pearson,
+                              spearman)
 
 
 @contextlib.contextmanager
@@ -165,22 +166,19 @@ def test_criterion_5_correlation_oracles():
                 ys = [rng.random() * 1000 for _ in range(n)]
             if len(set(xs)) < 2 or len(set(ys)) < 2:
                 continue
-            pairs = list(zip(xs, ys))
-            assert abs(lc.spearman(pairs) - oracle_spearman(xs, ys)) < 1e-12
-            assert abs(lc.pearson(pairs) - oracle_pearson(xs, ys)) < 1e-12
+            assert abs(spearman(xs, ys) - oracle_spearman(xs, ys)) < 1e-12
+            assert abs(pearson(xs, ys) - oracle_pearson(xs, ys)) < 1e-12
             lx = [math.log(x + 1) for x in xs]
             ly = [math.log(y + 1) for y in ys]
-            got = lc.pearson_log(list(zip([x + 1 for x in xs], [y + 1 for y in ys])))
+            got = lc._pearson(np.log(np.array(xs) + 1), np.log(np.array(ys) + 1), "pcc_log")
             assert abs(got - oracle_pearson(lx, ly)) < 1e-12
             checked += 1
         assert checked >= 80
 
-        identical = [(float(v), float(v) * 3) for v in range(1, 40)]
-        assert lc.spearman(identical) == 1.0
-        reversed_ = [(float(v), float(40 - v)) for v in range(1, 40)]
-        assert lc.spearman(reversed_) == -1.0
-        tied_identical = [(1, 1), (2, 2), (2, 2), (5, 5)]
-        assert lc.spearman(tied_identical) == 1.0
+        identical = [float(v) for v in range(1, 40)]
+        assert spearman(identical, [v * 3 for v in identical]) == 1.0
+        assert spearman(identical, [40 - v for v in identical]) == -1.0
+        assert spearman([1, 2, 2, 5], [1, 2, 2, 5]) == 1.0
 
 
 def test_criterion_6_comparison_algebra():
@@ -194,21 +192,20 @@ def test_criterion_6_comparison_algebra():
             rng.shuffle(b)
             n_total = len(words)
             width = rng.randint(1, n_total)
-            pa, pb = lc._positions(a, b)
-            qa, qb = lc._positions(b, a)
-            assert (lc._interval_overlaps(pa, pb, [width, n_total])
-                    == lc._interval_overlaps(qa, qb, [width, n_total]))
-            assert lc._interval_overlaps(pa, pb, [n_total]) == {n_total: 1.0}
-            assert lc._top_bottom_overlaps(pa, pb, n_total, [n_total]) == (
-                {n_total: n_total}, {n_total: n_total})
+            sizes = {"widths": [width, n_total], "tops": [n_total]}
+            ab = compare_orderings(a, b, **sizes)
+            ba = compare_orderings(b, a, **sizes)
+            assert ab.interval_overlaps == ba.interval_overlaps
+            assert ab.interval_overlaps[n_total] == 1.0
+            assert ab.top_overlap == ab.bottom_overlap == {n_total: n_total}
 
         d = dct.Dictionary([dct.DictEntry(w, i + 1, i + 2)
                             for i, w in enumerate(words[:50])])
         wl = tuple(lc.StemmedEntry(w, 50.0 - i, (w,)) for i, w in enumerate(words[25:75]))
-        count, pct, missing = lc.coverage(d, wl)
-        assert count + len(missing) == len(wl)
-        assert count == 25
-        assert pct == pytest.approx(0.5)
+        report = lc.compare(d, wl)
+        assert report.coverage_count + len(report.missing_words) == len(wl)
+        assert report.coverage_count == 25
+        assert report.coverage_pct == pytest.approx(0.5)
 
 
 def _load_external_dictionary(path: Path) -> dct.Dictionary:

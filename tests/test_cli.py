@@ -381,6 +381,33 @@ class TestCompare:
             "last_position.tsv", "manifest.json", "same_rank.tsv", "summary.json",
             "top_bottom_overlap.tsv"]
 
+    @pytest.mark.parametrize("rows,nulls,kept", [
+        # an sfi of 0 leaves only the log correlation undefined
+        ("analysis,0\nmodel,50\ndata,30\n", ["pcc_log"], ["PCC", "SRC"]),
+        # one common word leaves every correlation undefined
+        ("model,50\nzzz,30\n", ["src", "pcc", "pcc_log"], []),
+    ])
+    def test_undefined_correlation_is_null_and_every_table_written(
+            self, tmp_path, rows, nulls, kept, caplog):
+        dict_path = tmp_path / "d.tsv"
+        dct.save(dct.Dictionary([dct.DictEntry(w, dc, dc + 1) for w, dc in
+                                 (("analysi", 9), ("model", 7), ("data", 5), ("result", 2))]),
+                 dict_path)
+        wl_path = tmp_path / "wl.csv"
+        wl_path.write_text("headword,sfi\n" + rows, encoding="utf-8")
+        out = tmp_path / "cmp"
+        with caplog.at_level("WARNING"):
+            assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "correlations.tsv", "coverage.tsv", "fragments.tsv", "interval_overlaps.tsv",
+            "last_position.tsv", "manifest.json", "same_rank.tsv", "summary.json",
+            "top_bottom_overlap.tsv"]
+        summary = json.loads(read(out / "summary.json"))
+        assert [k for k in ("src", "pcc", "pcc_log") if summary[k] is None] == nulls
+        assert [line.split("\t")[0] for line in read(out / "correlations.tsv").splitlines()[1:]] \
+            == kept
+        assert [m.split(" ")[0] for m in caplog.messages if "unavailable" in m] == nulls
+
     @pytest.mark.parametrize("header", ["", "headword,sfi\n"])
     def test_word_list_bom_is_ignored(self, tmp_path, header):
         dict_path, _ = self.make_inputs(tmp_path)

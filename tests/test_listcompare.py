@@ -1,7 +1,9 @@
+import dataclasses
 import io
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,15 +66,40 @@ def stemmed(entries):
     return tuple(lc.StemmedEntry(s, sfi, (s,)) for s, sfi in entries)
 
 
+def positions(ranks_a, ranks_b):
+    """(pa, pb): each word's 0-based position in two orderings of the same
+    words, taken in the order of `ranks_a`."""
+    pos_b = {w: i for i, w in enumerate(ranks_b)}
+    return np.arange(len(ranks_a)), np.array([pos_b[w] for w in ranks_a], dtype=np.intp)
+
+
 def same_interval_share(ranks_a, ranks_b, width):
     """What `compare` reports for one width over two orderings of the same words."""
-    return lc._interval_overlaps(*lc._positions(ranks_a, ranks_b), [width])[width]
+    return lc._interval_overlaps(*positions(ranks_a, ranks_b), [width])[width]
 
 
 def top_bottom_counts(ranks_a, ranks_b, n):
     """What `compare` reports as (top-n, bottom-n) overlap for one n."""
-    top, bottom = lc._top_bottom_overlaps(*lc._positions(ranks_a, ranks_b), len(ranks_a), [n])
+    top, bottom = lc._top_bottom_overlaps(*positions(ranks_a, ranks_b), len(ranks_a), [n])
     return top[n], bottom[n]
+
+
+def compare_orderings(ranks_a, ranks_b, **kwargs):
+    """`compare` on a dictionary in ordering A and a list in ordering B of
+    the same words."""
+    n = len(ranks_a)
+    d = make_dict([(w, n + 1 - i) for i, w in enumerate(ranks_a)])
+    return lc.compare(d, stemmed([(w, float(n - i)) for i, w in enumerate(ranks_b)]), **kwargs)
+
+
+def spearman(xs, ys):
+    """SRC as `compare` computes it from doc counts xs and frequency indices ys."""
+    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    return lc._pearson(lc._fractional_ranks(x), lc._fractional_ranks(y), "src")
+
+
+def pearson(xs, ys):
+    return lc._pearson(np.array(xs, dtype=float), np.array(ys, dtype=float), "pcc")
 
 
 # ---------------------------------------------------------------- tests
@@ -136,30 +163,30 @@ class TestStemMerge:
 class TestCoverage:
     def test_full(self):
         d = make_dict([("a", 5), ("b", 4)])
-        count, pct, missing = lc.coverage(d, stemmed([("a", 1), ("b", 1)]))
-        assert (count, pct, missing) == (2, 1.0, [])
+        r = lc.compare(d, stemmed([("a", 1), ("b", 1)]))
+        assert (r.coverage_count, r.coverage_pct, r.missing_words) == (2, 1.0, [])
 
     def test_disjoint(self):
         d = make_dict([("a", 5)])
-        count, pct, missing = lc.coverage(d, stemmed([("x", 1), ("y", 1)]))
-        assert count == 0 and pct == 0.0 and missing == ["x", "y"]
+        r = lc.compare(d, stemmed([("x", 1), ("y", 1)]))
+        assert r.coverage_count == 0 and r.coverage_pct == 0.0 and r.missing_words == ["x", "y"]
 
     def test_partial_identity(self):
         d = make_dict([("a", 5), ("b", 4)])
-        count, pct, missing = lc.coverage(d, stemmed([("a", 1), ("z", 1)]))
-        assert count + len(missing) == 2
-        assert pct == pytest.approx(0.5)
+        r = lc.compare(d, stemmed([("a", 1), ("z", 1)]))
+        assert r.coverage_count + len(r.missing_words) == 2
+        assert r.coverage_pct == pytest.approx(0.5)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty word list"):
-            lc.coverage(make_dict([("a", 1)]), ())
+            lc.compare(make_dict([("a", 1)]), ())
 
 
 class TestFragmentCoverage:
     def test_toy(self):
         d = make_dict([(w, 10 - i) for i, w in enumerate("abcdefghij")])
         wl = stemmed([("b", 9), ("e", 6), ("j", 1), ("zz", 0)])
-        rows = lc.fragment_coverage(d, wl, [2, 5, 10])
+        rows = lc.compare(d, wl, fragment_ks=[2, 5, 10]).fragment_table
         assert rows[0] == (2, 1, 0.25, ["b"])
         assert rows[1] == (5, 2, 0.5, ["e"])
         assert rows[2] == (10, 3, 0.75, ["j"])
@@ -167,14 +194,13 @@ class TestFragmentCoverage:
     def test_whole_dictionary_equals_coverage(self):
         d = make_dict([(w, 5 - i) for i, w in enumerate("abcde")])
         wl = stemmed([("a", 2), ("c", 1), ("nope", 0)])
-        rows = lc.fragment_coverage(d, wl, [len(d)])
-        count, _, _ = lc.coverage(d, wl)
-        assert rows[0][1] == count
+        r = lc.compare(d, wl, fragment_ks=[len(d)])
+        assert r.fragment_table[0][1] == r.coverage_count
 
     def test_oversized_fragment_clamped(self, caplog):
         d = make_dict([("a", 3)])
         with caplog.at_level("WARNING"):
-            rows = lc.fragment_coverage(d, stemmed([("a", 1)]), [99])
+            rows = lc.compare(d, stemmed([("a", 1)]), fragment_ks=[99]).fragment_table
         assert rows[0][0] == 1
         assert any("clamped" in m for m in caplog.messages)
 
@@ -183,15 +209,24 @@ class TestLastPosition:
     def test_toy(self):
         d = make_dict([(w, 10 - i) for i, w in enumerate("abcdefghij")])
         wl = stemmed([("c", 9), ("h", 6), ("a", 5)])  # list order by sfi
-        rows = lc.last_position(d, wl, [1, 2, 3])
-        assert rows[0] == (1, 3, 0.3)   # "c" at dict rank 3
-        assert rows[1] == (2, 8, 0.8)   # deepest of {c,h}
-        assert rows[2] == (3, 8, 0.8)   # "a" is rank 1, max stays 8
+        # "c" is at dict rank 3, "h" at 8 and "a" at 1: the deepest is 8
+        assert lc.compare(d, wl).last_position_table == [(3, 8, 0.8)]
 
     def test_single_top_word(self):
         d = make_dict([("top", 9), ("rest", 1)])
-        rows = lc.last_position(d, stemmed([("top", 50)]), [1])
-        assert rows[0][1] == 1
+        rows = lc.compare(d, stemmed([("top", 50)])).last_position_table
+        assert rows == [(1, 1, 0.5)]
+
+    def test_deepest_rank_of_each_list_fragment(self):
+        rng = random.Random(5)
+        words = [f"w{i:03d}" for i in range(300)]
+        d = make_dict([(w, 300 - i) for i, w in enumerate(words)])
+        listed = rng.sample(words, 250)
+        r = lc.compare(d, stemmed([(w, 250.0 - i) for i, w in enumerate(listed)]))
+        rank = {w: i for i, w in enumerate(words, 1)}
+        assert r.last_position_table == [
+            (m, max(rank[w] for w in listed[:m]), max(rank[w] for w in listed[:m]) / 300)
+            for m in (100, 200, 250)]
 
 
 class TestIntervalOverlap:
@@ -213,9 +248,7 @@ class TestIntervalOverlap:
 
     def test_bad_width(self):
         # compare keeps only the widths of at least 1
-        d = make_dict([(w, 20 - i) for i, w in enumerate(self.A)])
-        wl = stemmed([(w, 20.0 - i) for i, w in enumerate(self.B)])
-        assert list(lc.compare(d, wl, widths=[0, 5]).interval_overlaps) == [5]
+        assert list(compare_orderings(self.A, self.B, widths=[0, 5]).interval_overlaps) == [5]
 
 
 class TestTopBottomOverlap:
@@ -235,26 +268,26 @@ class TestTopBottomOverlap:
 
     def test_n_out_of_range(self):
         # compare keeps only the sizes from 0 to the number of common words
-        d = make_dict([(w, 20 - i) for i, w in enumerate(self.A)])
-        wl = stemmed([(w, 20.0 - i) for i, w in enumerate(self.B)])
-        report = lc.compare(d, wl, tops=[-1, 0, 10, 11])
+        report = compare_orderings(self.A, self.B, tops=[-1, 0, 10, 11])
         assert list(report.top_overlap) == list(report.bottom_overlap) == [0, 10]
 
     def test_repeated_word_rejected(self):
-        for a, b in ((["a", "a", "b"], ["a", "b"]), (["a", "b"], ["a", "b", "b"])):
+        d = make_dict([("a", 2), ("b", 1)])
+        for wl in (stemmed([("a", 2.0), ("a", 1.0), ("b", 0.5)]),
+                   stemmed([("a", 2.0), ("zz", 1.0), ("zz", 0.5)])):
             with pytest.raises(ValueError, match="repeat"):
-                lc._positions(a, b)
+                lc.compare(d, wl)
 
 
 class TestSameRank:
     def test_toy(self):
         A = list("abcdefghij")
         B = ["b", "a", "c", "f", "e", "d", "j", "i", "h", "g"]
-        assert lc.same_rank_words(A, B) == [("c", 3), ("e", 5)]
+        assert compare_orderings(A, B).same_rank_words == [("c", 3), ("e", 5)]
 
     def test_identical(self):
         A = list("xyz")
-        assert lc.same_rank_words(A, A) == [("x", 1), ("y", 2), ("z", 3)]
+        assert compare_orderings(A, A).same_rank_words == [("x", 1), ("y", 2), ("z", 3)]
 
     def test_derangements_of_three(self):
         base = ["a", "b", "c"]
@@ -262,42 +295,45 @@ class TestSameRank:
                         if all(x != y for x, y in zip(p, base))]
         assert len(derangements) == 2  # brute-force checked
         for p in derangements:
-            assert lc.same_rank_words(base, list(p)) == []
+            assert compare_orderings(base, list(p)).same_rank_words == []
 
 
 class TestCorrelations:
     def test_identical_orderings_exactly_one(self):
-        pairs = [(1, 10), (2, 20), (3, 30), (4, 40)]
-        assert lc.spearman(pairs) == 1.0
+        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
 
     def test_reversed_orderings_exactly_minus_one(self):
-        pairs = [(1, 40), (2, 30), (3, 20), (4, 10)]
-        assert lc.spearman(pairs) == -1.0
+        assert spearman([1, 2, 3, 4], [40, 30, 20, 10]) == -1.0
 
     def test_pearson_exact_line(self):
-        pairs = [(x, 2 * x) for x in (1.5, 2.25, 7.75, 9.5)]
-        assert lc.pearson(pairs) == 1.0
+        xs = [1.5, 2.25, 7.75, 9.5]
+        assert pearson(xs, [2 * x for x in xs]) == 1.0
 
     def test_pearson_log_equals_pearson_of_logs(self):
-        pairs = [(1.0, 3.0), (2.0, 9.0), (4.0, 81.0)]
-        got = lc.pearson_log(pairs)
-        want = oracle_pearson([math.log(x) for x, _ in pairs],
-                              [math.log(y) for _, y in pairs])
-        assert got == pytest.approx(want, abs=1e-12)
+        d = make_dict([("a", 1), ("b", 2), ("c", 4)])
+        r = lc.compare(d, stemmed([("c", 81.0), ("b", 9.0), ("a", 3.0)]))
+        want = oracle_pearson([math.log(x) for x in (4, 2, 1)],
+                              [math.log(y) for y in (81, 9, 3)])
+        assert r.pcc_log == pytest.approx(want, abs=1e-12)
 
-    def test_zero_variance_errors(self):
-        with pytest.raises(ValueError, match="zero rank variance"):
-            lc.spearman([(1, 5), (1, 6), (1, 7)])
-        with pytest.raises(ValueError, match="zero variance"):
-            lc.pearson([(1, 5), (1, 6)])
+    def test_zero_variance_is_none_with_warning(self, caplog):
+        with caplog.at_level("WARNING"):
+            assert spearman([1, 1, 1], [5, 6, 7]) is None
+            assert pearson([1, 1], [5, 6]) is None
+        assert caplog.messages == ["src unavailable: zero variance",
+                                   "pcc unavailable: zero variance"]
 
-    def test_log_rejects_non_positive_with_label(self):
-        with pytest.raises(ValueError, match="word_x"):
-            lc.pearson_log([(0.0, 2.0), (3.0, 4.0)], labels=["word_x", "word_y"])
+    def test_log_of_non_positive_is_none_naming_the_word(self, caplog):
+        d = make_dict([("word_x", 3), ("word_y", 2)])
+        with caplog.at_level("WARNING"):
+            r = lc.compare(d, stemmed([("word_y", 4.0), ("word_x", 0.0)]))
+        assert r.pcc_log is None and r.src == r.pcc == -1.0
+        assert caplog.messages == ["pcc_log unavailable: non-positive value under log for word_x"]
 
-    def test_too_few_pairs(self):
-        with pytest.raises(ValueError):
-            lc.spearman([(1, 2)])
+    def test_too_few_pairs(self, caplog):
+        with caplog.at_level("WARNING"):
+            assert spearman([1], [2]) is None
+        assert caplog.messages == ["src unavailable: fewer than 2 common words"]
 
     def test_matches_oracles_on_random_vectors(self):
         rng = random.Random(99)
@@ -309,13 +345,11 @@ class TestCorrelations:
             else:
                 xs = [rng.random() * 100 for _ in range(n)]
                 ys = [rng.random() * 100 for _ in range(n)]
-            pairs = list(zip(xs, ys))
-            try:
-                got = lc.spearman(pairs)
-            except ValueError:
+            got = spearman(xs, ys)
+            if got is None:
                 continue  # constant vector drawn
             assert got == pytest.approx(oracle_spearman(xs, ys), abs=1e-12)
-            assert lc.pearson(pairs) == pytest.approx(oracle_pearson(xs, ys), abs=1e-12)
+            assert pearson(xs, ys) == pytest.approx(oracle_pearson(xs, ys), abs=1e-12)
 
     def test_no_ties_shortcut_agrees(self):
         rng = random.Random(7)
@@ -323,9 +357,7 @@ class TestCorrelations:
             n = rng.randint(3, 60)
             xs = rng.sample(range(100_000), n)
             ys = rng.sample(range(100_000), n)
-            pairs = list(zip(xs, ys))
-            assert lc.spearman(pairs) == pytest.approx(
-                oracle_spearman_no_ties(xs, ys), abs=1e-12)
+            assert spearman(xs, ys) == pytest.approx(oracle_spearman_no_ties(xs, ys), abs=1e-12)
 
 
 # Few distinct values, so most draws hold ties, plus both zeros, NaN and
@@ -425,3 +457,51 @@ def test_compare_overlap_tables_match_reference(perm, data):
     assert report.top_overlap == {k: ref.top_n_overlap(words, order_b, k) for k in tops}
     assert report.bottom_overlap == {k: ref.bottom_n_overlap(words, order_b, k) for k in tops}
     assert all(type(v) is int for v in report.top_overlap.values())
+
+
+# Differential test of `compare` against the pre-rank-array code in
+# compare_reference. A correlation the old code raised on is None now.
+
+POOL = [f"s{i:02d}" for i in range(40)]
+
+
+@st.composite
+def compare_inputs(draw):
+    n_dict = draw(st.integers(0, 30))
+    words = draw(st.permutations(POOL))[:n_dict]
+    doc = draw(st.lists(st.integers(1, 4), min_size=n_dict, max_size=n_dict))  # ties
+    extra = draw(st.lists(st.integers(0, 2), min_size=n_dict, max_size=n_dict))
+    d = Dictionary([DictEntry(w, c, c + e) for w, c, e in zip(words, doc, extra)])
+    # distinct stems, some of them not in the dictionary
+    stems = draw(st.permutations(POOL))[:draw(st.integers(1, 40))]
+    sfi = st.sampled_from([1.0, 2.5, 50.0]) | st.floats(0.01, 100)  # ties, and not
+    if draw(st.integers(0, 3)) == 0:
+        sfi |= st.sampled_from([0.0, -1.5])  # which fail pcc_log
+    sfi_of = draw(st.sampled_from([sfi, sfi, st.none(), sfi | st.none()]))
+    wl = [lc.StemmedEntry(s, draw(sfi_of), (s,) * draw(st.integers(1, 2))) for s in stems]
+    if all(e.sfi_avg is not None for e in wl):
+        wl.sort(key=lambda e: (-e.sfi_avg, e.stem))  # the order stem_merge returns
+    sizes = st.none() | st.lists(st.integers(-3, 45), max_size=8)
+    return d, tuple(wl), draw(sizes), draw(sizes), draw(sizes)
+
+
+def _none_on_error(correlation):
+    def wrapped(*args):
+        try:
+            return correlation(*args)
+        except ValueError:
+            return None
+    return wrapped
+
+
+@settings(max_examples=400, deadline=None)
+@given(compare_inputs())
+def test_compare_matches_reference(inputs):
+    d, wl, widths, tops, fragment_ks = inputs
+    got = lc.compare(d, wl, widths=widths, tops=tops, fragment_ks=fragment_ks)
+    with mock.patch.multiple(ref, **{name: _none_on_error(getattr(ref, name))
+                                     for name in ("spearman", "pearson", "pearson_log")}):
+        want = ref.compare(d, wl, widths=widths, tops=tops, fragment_ks=fragment_ks)
+    for f in dataclasses.fields(lc.ComparisonReport):
+        # repr tells floats apart bit for bit, and numpy scalars from Python ones
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
