@@ -153,6 +153,10 @@ def _from_counts(doc_counts: Counter, corpus_counts: Counter, provenance: Proven
     words = list(corpus_counts)
     doc = np.fromiter(map(doc_counts.__getitem__, words), np.int64, len(words))
     corpus = np.fromiter(corpus_counts.values(), np.int64, len(words))
+    # Both callers drop the counts on return; freeing them now keeps
+    # them from sitting under the sort and the join.
+    doc_counts.clear()
+    corpus_counts.clear()
     return Dictionary._of_columns(*_canonical(words, doc, corpus), provenance)
 
 

@@ -63,9 +63,10 @@ class ComparisonReport:
 def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
     """Read a "headword,sfi[,u,d]" CSV; a header row is detected and skipped.
 
-    Files without a numeric second column yield entries with sfi=None;
-    downstream rank analyses are then skipped with a warning. A nan or
-    infinite sfi, u or d value raises `InputError`.
+    A row without a numeric second column yields an entry with sfi=None;
+    if a stem is then left with no frequency index, `compare` skips the
+    rank analyses with a warning. A nan or infinite sfi, u or d value
+    raises `InputError`.
     """
     entries = []
     for row_no, row in enumerate(csv.reader(stream), 1):
@@ -194,8 +195,9 @@ def compare(
     of `word_list`, 0 for a stem the dictionary lacks. Rank analyses
     restrict both lists to the common words: ordering A is the
     dictionary's canonical order, ordering B the order of `word_list`,
-    which `stem_merge` sorts by averaged frequency index. When the list
-    carries no frequency index those analyses are skipped.
+    which `stem_merge` sorts by averaged frequency index. When any stem
+    has no frequency index those analyses are skipped, with a warning
+    that counts such stems and names the first five.
     """
     if len(word_list) == 0:
         raise ValueError("empty word list")
@@ -233,8 +235,11 @@ def compare(
         added = [stems[i] for i in common[by_rank[previous:found]].tolist()]
         report.fragment_table.append((k_eff, found, found / len(stems), added))
 
-    if any(e.sfi_avg is None for e in word_list):
-        logger.warning("word list has no frequency index; rank analyses skipped")
+    no_sfi = [e.stem for e in word_list if e.sfi_avg is None]
+    if no_sfi:
+        logger.warning("%d of %d stems have no frequency index (%s%s); rank analyses skipped",
+                       len(no_sfi), len(stems), ", ".join(no_sfi[:5]),
+                       ", ..." if len(no_sfi) > 5 else "")
         return report
     if not n_common:
         return report

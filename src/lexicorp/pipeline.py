@@ -5,7 +5,9 @@ uniting, whole-token substitutions, hyphen removal, number removal,
 stemming, stop-word removal. Steps 1-2 run on the whole text, which is
 then split on whitespace; no later step looks across whitespace, so
 steps 3-8 run once per distinct token and config, memoised. Steps 3-6
-are one plain pass over the token: no regular expression.
+are one plain pass over the token: no regular expression. The pieces
+that a hyphenated token splits into are entries of the same memo, which
+is the only cache of stems: the stemmer keeps none.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ def strip_punctuation(text: str) -> str:
 
 
 class _TokenMemo(dict):
-    """Lowercased token -> its tokens after steps 3-8; misses fill it."""
+    """Token -> its tokens after steps 3-8; misses fill it. The keys are
+    lowercased tokens and the pieces of those with a "-" (upper case
+    from a substitution value included; the stemmer lowercases it)."""
 
     def __init__(self, config: PipelineConfig):
         super().__init__()
@@ -83,7 +87,9 @@ class _TokenMemo(dict):
         # needs "<prefix>-" and PipelineConfig rejects substitution keys
         # without "-".
         if "-" in token:
-            out = tuple(w for w in map(stem, self._text_steps(token)) if w not in self.stop_set)
+            # A piece holds no "-" and no whitespace, so its own entry is
+            # filled by the branches below: the recursion is one level deep.
+            out = tuple(chain.from_iterable(map(self.__getitem__, self._text_steps(token))))
         elif token.isdecimal():
             out = ()
         else:

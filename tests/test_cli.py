@@ -372,6 +372,21 @@ class TestCompare:
         assert summary["coverage_count"] == 2
         assert summary["src"] is None
 
+    def test_some_stems_without_sfi_warn_with_count(self, tmp_path, caplog):
+        dict_path = tmp_path / "d.tsv"
+        dct.save(dct.Dictionary([dct.DictEntry(w, dc, dc + 1) for w, dc in
+                                 (("analysi", 9), ("model", 7), ("data", 5), ("the", 2))]),
+                 dict_path)
+        wl_path = tmp_path / "wl.csv"
+        wl_path.write_text("headword,sfi\nanalysis,40\nmodel,50\ndata,\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        with caplog.at_level("WARNING"):
+            assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 0
+        assert caplog.messages == [
+            "1 of 3 stems have no frequency index (data); rank analyses skipped"]
+        assert read(out / "correlations.tsv") == "test\tstatistic\n"
+        assert read(out / "last_position.tsv") == "list_fragment\tlast_position\tpct_of_dictionary\n"
+
     def test_outputs_leave_no_temporary_files(self, tmp_path):
         dict_path, wl_path = self.make_inputs(tmp_path)
         out = tmp_path / "cmp"

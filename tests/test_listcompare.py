@@ -402,9 +402,21 @@ class TestCompareDriver:
         wl = tuple(lc.StemmedEntry(s, None, (s,)) for s in "abc")
         with caplog.at_level("WARNING"):
             report = lc.compare(d, wl)
+        assert caplog.messages == [
+            "3 of 3 stems have no frequency index (a, b, c); rank analyses skipped"]
         assert report.coverage_count == 3
         assert report.src is None
         assert report.interval_overlaps == {}
+
+    def test_warning_names_the_first_five_stems_without_sfi(self, caplog):
+        d, _ = self.build_inputs()
+        wl = (lc.StemmedEntry("a", 50.0, ("a",)),) + tuple(
+            lc.StemmedEntry(s, None, (s,)) for s in "bcdefgh")
+        with caplog.at_level("WARNING"):
+            report = lc.compare(d, wl)
+        assert caplog.messages == [
+            "7 of 8 stems have no frequency index (b, c, d, e, f, ...); rank analyses skipped"]
+        assert report.common_words == []
 
 
 @settings(max_examples=100, deadline=None)

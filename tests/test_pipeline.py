@@ -250,11 +250,30 @@ def test_isdecimal_is_the_digit_class():
     "anti-42", "42-", "-", "chi-square", "ex-president",
     # "İ" lowercases to "i" + U+0307, after which a prefix or a key may start
     "İanti-viral", "İz-test", "anti-İ",
+    # a hyphenated token's pieces are memo entries of their own: pieces
+    # that are stop words, numbers, repeated, or an earlier whole token
+    "the-model", "model-the-model", "42-the", "studies-study", "x-ray-x",
 ])
 def test_memo_entry_matches_reference(token):
     cfg = PipelineConfig()
     assert pl._token_memo(cfg)[token.lower()] == tuple(ref.process_document(token, cfg))
     assert pl.process_document(token, cfg) == ref.process_document(token, cfg)
+
+
+# PipelineConfig does not check substitution values, so upper case, a
+# space and a "-" in them reach the memo as pieces that are not lowercased.
+_ODD_VALUES = PipelineConfig(substitutions=tables.SUBSTITUTIONS + (
+    ("mega-watt", "Mega Watt-Hours"), ("giga-x", "The-42")))
+
+
+@pytest.mark.parametrize("token", [
+    "mega-watt", "giga-x", "mega-watt-x", "hours-mega-watt", "mega", "the-giga-x",
+])
+def test_memo_entry_matches_reference_with_odd_substitution_values(token):
+    memo = pl._token_memo(_ODD_VALUES)
+    assert memo[token] == tuple(ref.process_document(token, _ODD_VALUES))
+    for text in (token, f"{token} Mega watt {token}"):
+        assert pl.process_document(text, _ODD_VALUES) == ref.process_document(text, _ODD_VALUES)
 
 def test_processed_stop_set_matches_reference():
     assert pl.processed_stop_set(CFG) == ref.processed_stop_set(CFG)
