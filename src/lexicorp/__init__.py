@@ -2,7 +2,7 @@
 statistics and word-list comparison for collections of scientific abstracts."""
 
 from .config import PipelineConfig, default_config, load_config
-from .dictionary import DictEntry, Dictionary, build, merge, prune
+from .dictionary import Dictionary, build, prune
 from .ingest import IngestReport, RawRecord, run_ingest
 from .lexstats import ParetoFit, fit_pareto, gen_synthetic_corpus, histogram
 from .listcompare import ComparisonReport, compare, stem_merge
@@ -11,7 +11,7 @@ from .stemmer import stem
 
 __all__ = [
     "PipelineConfig", "default_config", "load_config",
-    "DictEntry", "Dictionary", "build", "merge", "prune",
+    "Dictionary", "build", "prune",
     "IngestReport", "RawRecord", "run_ingest",
     "ParetoFit", "fit_pareto", "gen_synthetic_corpus", "histogram",
     "ComparisonReport", "compare", "stem_merge",

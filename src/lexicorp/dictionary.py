@@ -5,6 +5,11 @@ Entries are ordered by the number of documents containing the word
 itself, which makes serialisation and all fragment analyses
 deterministic. A word occurring several times in one document counts
 once toward its document count.
+
+A `Dictionary` is made in three places only, each of which hands its
+constructor columns already in canonical order: `build` counts tokens,
+`prune` keeps a prefix of a dictionary, and `load` reads a dictionary
+file, checked in bulk with a line number for the first bad row.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple, NoReturn
+from typing import IO, Iterable, NoReturn
 
 import numpy as np
 
@@ -41,12 +46,6 @@ class DictionaryFormatError(InputError):
         self.line_no = line_no
 
 
-class DictEntry(NamedTuple):
-    word: str
-    doc_count: int
-    corpus_count: int
-
-
 @dataclass(frozen=True)
 class Provenance:
     """What a dictionary was built from, written in its header line: so the
@@ -68,33 +67,13 @@ class Dictionary:
     the words as one "\\n"-joined string, which each accessor splits
     afresh, and the read-only int64 arrays `doc` and `corpus`."""
 
-    def __init__(self, entries: Iterable[DictEntry], provenance: Provenance = Provenance()):
-        """Sort `entries` into canonical order. A row that a dictionary file
-        cannot hold raises ValueError, so whatever `save` writes `load` reads."""
-        entries = list(entries)
-        _check_rows(entries)
-        self._set(*_canonical([e[0] for e in entries],
-                              np.array([e[1] for e in entries], dtype=np.int64),
-                              np.array([e[2] for e in entries], dtype=np.int64)), provenance)
-
-    @classmethod
-    def _of_columns(cls, text: str, doc: np.ndarray, corpus: np.ndarray,
-                    provenance: Provenance) -> Dictionary:
-        """Wrap columns already in canonical order."""
-        d = cls.__new__(cls)
-        d._set(text, doc, corpus, provenance)
-        return d
-
-    def _set(self, text, doc, corpus, provenance) -> None:
+    def __init__(self, text: str, doc: np.ndarray, corpus: np.ndarray,
+                 provenance: Provenance):
+        """Wrap columns already in canonical order. The arrays are marked
+        read-only, not copied."""
         doc.flags.writeable = corpus.flags.writeable = False
         self._text, self.doc, self.corpus = text, doc, corpus
         self.provenance = provenance
-
-    @property
-    def entries(self) -> list[DictEntry]:
-        """The rows as `DictEntry` tuples, built afresh on each access."""
-        return list(map(DictEntry._make,
-                        zip(self.words(), self.doc.tolist(), self.corpus.tolist())))
 
     def __len__(self) -> int:
         return len(self.doc)
@@ -114,32 +93,6 @@ class Dictionary:
         return dict(zip(self.words(), range(1, len(self) + 1)))
 
 
-def _check_words(words: Iterable[str]) -> None:
-    """Raise ValueError for an empty word or one holding a tab or a line
-    break, "\\r" too: text mode reads it as one."""
-    if "" in words or _BREAK_RE.search("".join(words)):
-        word = next(w for w in words if not w or _BREAK_RE.search(w))
-        raise ValueError(f"word {word!r} is empty or holds a tab or line break")
-
-
-def _check_rows(entries: list[DictEntry]) -> None:
-    """Raise ValueError for a row that `deserialize` would refuse, or
-    whose counts are not integers."""
-    _check_words([e[0] for e in entries])
-    seen: set[str] = set()
-    for word, doc_count, corpus_count in entries:
-        # int64 would cast a float, a bool or a string without a word.
-        if any(isinstance(c, bool) or not hasattr(c, "__index__")
-               for c in (doc_count, corpus_count)):
-            raise ValueError(f"non-integer counts for {word!r}: "
-                             f"doc {doc_count!r}, corpus {corpus_count!r}")
-        if not 1 <= doc_count <= corpus_count <= _INT64_MAX:
-            raise ValueError(f"invalid counts for {word!r}: doc {doc_count}, corpus {corpus_count}")
-        if word in seen:
-            raise ValueError(f"duplicate word {word!r}")
-        seen.add(word)
-
-
 def _canonical(words: list[str], doc: np.ndarray, corpus: np.ndarray):
     """The three columns in canonical order, the words joined by "\\n":
     sorted by word, then stably on descending doc and corpus counts."""
@@ -148,58 +101,29 @@ def _canonical(words: list[str], doc: np.ndarray, corpus: np.ndarray):
     return "\n".join(map(words.__getitem__, order.tolist())), doc[order], corpus[order]
 
 
-def _from_counts(doc_counts: Counter, corpus_counts: Counter, provenance: Provenance) -> Dictionary:
-    _check_words(corpus_counts)
-    words = list(corpus_counts)
-    doc = np.fromiter(map(doc_counts.__getitem__, words), np.int64, len(words))
-    corpus = np.fromiter(corpus_counts.values(), np.int64, len(words))
-    # Both callers drop the counts on return; freeing them now keeps
-    # them from sitting under the sort and the join.
-    doc_counts.clear()
-    corpus_counts.clear()
-    return Dictionary._of_columns(*_canonical(words, doc, corpus), provenance)
-
-
 def build(
     token_lists: Iterable[tuple[str, list[str]]],
     corpus_id: str = "",
     config_hash: str = "",
 ) -> Dictionary:
-    """Count doc/corpus frequencies over (doc_id, tokens) pairs."""
+    """Count doc/corpus frequencies over (doc_id, tokens) pairs. A token
+    that is empty or holds a tab or a line break, "\\r" too, raises
+    ValueError: a dictionary file cannot hold it."""
     doc_counts: Counter = Counter()
     corpus_counts: Counter = Counter()
     for _, tokens in token_lists:
         corpus_counts.update(tokens)
         doc_counts.update(set(tokens))
-    return _from_counts(doc_counts, corpus_counts, Provenance(corpus_id, config_hash, threshold=0))
-
-
-def merge(a: Dictionary, b: Dictionary) -> Dictionary:
-    """Combine dictionaries built from disjoint document sets.
-
-    Counts are summed per word, so merge(build(X), build(Y)) equals
-    build(X + Y) whenever X and Y share no documents. Dictionaries built
-    under different configs count different things, and a pruned
-    dictionary has lost the counts of the words it dropped, so both are
-    refused. The result keeps the inputs' corpus id if they share one, and
-    has none otherwise.
-    """
-    if a.provenance.config_hash != b.provenance.config_hash:
-        raise ValueError(f"cannot merge dictionaries of configs "
-                         f"{a.provenance.config_hash!r} and {b.provenance.config_hash!r}")
-    for d in (a, b):
-        if d.provenance.threshold > 0:
-            raise ValueError(f"cannot merge a dictionary pruned at threshold "
-                             f"{d.provenance.threshold}: its dropped words' counts are lost")
-    doc_counts: Counter = Counter()
-    corpus_counts: Counter = Counter()
-    for d in (a, b):
-        words = d.words()
-        doc_counts.update(dict(zip(words, d.doc.tolist())))
-        corpus_counts.update(dict(zip(words, d.corpus.tolist())))
-    pa, pb = a.provenance, b.provenance
-    corpus_id = pa.corpus_id if pa.corpus_id == pb.corpus_id else ""
-    return _from_counts(doc_counts, corpus_counts, Provenance(corpus_id, pa.config_hash))
+    if "" in corpus_counts or _BREAK_RE.search("".join(corpus_counts)):
+        word = next(w for w in corpus_counts if not w or _BREAK_RE.search(w))
+        raise ValueError(f"word {word!r} is empty or holds a tab or line break")
+    words = list(corpus_counts)
+    doc = np.fromiter(map(doc_counts.__getitem__, words), np.int64, len(words))
+    corpus = np.fromiter(corpus_counts.values(), np.int64, len(words))
+    # Freeing the counts now keeps them from sitting under the sort and the join.
+    del doc_counts, corpus_counts
+    provenance = Provenance(corpus_id, config_hash, threshold=0)
+    return Dictionary(*_canonical(words, doc, corpus), provenance)
 
 
 def prune(d: Dictionary, threshold: int) -> Dictionary:
@@ -212,7 +136,7 @@ def prune(d: Dictionary, threshold: int) -> Dictionary:
     prov = Provenance(d.provenance.corpus_id, d.provenance.config_hash,
                       max(threshold, d.provenance.threshold))
     text = "\n".join(d._text.split("\n", keep)[:keep])
-    return Dictionary._of_columns(text, d.doc[:keep], d.corpus[:keep], prov)
+    return Dictionary(text, d.doc[:keep], d.corpus[:keep], prov)
 
 
 _HEADER_RE = re.compile(
@@ -366,7 +290,7 @@ def deserialize(stream: IO[str]) -> Dictionary:
     provenance = Provenance(corpus_id=m.group(3) or "",
                             config_hash=m.group(2),
                             threshold=int(m.group(1)))
-    return Dictionary._of_columns(*_read_body(stream), provenance)
+    return Dictionary(*_read_body(stream), provenance)
 
 
 def load(path) -> Dictionary:

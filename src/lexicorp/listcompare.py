@@ -254,6 +254,9 @@ def compare(
         widths = default_widths(n_common)
     if tops is None:
         tops = default_widths(n_common)
+    for n in sorted(set(tops)):
+        if n > n_common:
+            logger.warning("top/bottom size %d dropped: only %d common words", n, n_common)
     pa, pb = np.arange(n_common), by_rank
     report.interval_overlaps = _interval_overlaps(pa, pb, [w for w in widths if 1 <= w])
     report.top_overlap, report.bottom_overlap = _top_bottom_overlaps(

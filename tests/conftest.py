@@ -1,12 +1,33 @@
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
+from lexicorp import dictionary as dct
+
 TESTS_DIR = Path(__file__).parent
 DATA_DIR = TESTS_DIR / "data"
 
 sys.path.insert(0, str(TESTS_DIR))
+
+
+def dictionary_of(rows, provenance=dct.Provenance()):
+    """The Dictionary of (word, doc, corpus) rows in any order, made the way
+    `load` makes one: the rows are written as dictionary file text, encoded,
+    and read back in text mode with `deserialize`, which checks and sorts
+    them. Text mode reads a "\\r" in a word as a line break, as `load` does."""
+    header = f"#lexicorp-dict v1 threshold={provenance.threshold} config={provenance.config_hash}"
+    if provenance.corpus_id:
+        header += f" corpus={provenance.corpus_id}"
+    body = "".join(f"{w}\t{doc}\t{corpus}\n" for w, doc, corpus in rows)
+    text = header + "\n" + body
+    return dct.deserialize(io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"))
+
+
+def rows_of(d):
+    """The (word, doc, corpus) rows of `d` in canonical order."""
+    return list(zip(d.words(), d.doc.tolist(), d.corpus.tolist()))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dictionary_of, rows_of
 from lexicorp import dictionary as dct
 from lexicorp.cli import main
 
@@ -168,7 +169,7 @@ class TestBuildAndPrune:
         dict_path = tmp_path / "dict.tsv"
         assert main(["build", str(corpus), "--out", str(dict_path)]) == 0
         d = dct.load(dict_path)
-        by_word = {e.word: (e.doc_count, e.corpus_count) for e in d.entries}
+        by_word = {w: (doc, corpus) for w, doc, corpus in rows_of(d)}
         assert by_word["alpha"] == (2, 40)
         assert by_word["w1"] == (2, 3)
         assert by_word["w2"] == (1, 1)
@@ -216,8 +217,8 @@ class TestBuildAndPrune:
 
     def test_prune_threshold_semantics(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
-        entries = [dct.DictEntry(f"w{c}", c, c) for c in (12, 10, 3)]
-        dct.save(dct.Dictionary(entries), dict_path)
+        rows = [(f"w{c}", c, c) for c in (12, 10, 3)]
+        dct.save(dictionary_of(rows), dict_path)
         out = tmp_path / "p.tsv"
         assert main(["prune", str(dict_path), "--threshold", "10", "--out", str(out)]) == 0
         pruned = dct.load(out)
@@ -226,22 +227,22 @@ class TestBuildAndPrune:
 
     def test_prune_default_threshold_is_ten(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
-        entries = [dct.DictEntry(f"w{c:02d}", c, c) for c in (11, 10, 9)]
-        dct.save(dct.Dictionary(entries), dict_path)
+        rows = [(f"w{c:02d}", c, c) for c in (11, 10, 9)]
+        dct.save(dictionary_of(rows), dict_path)
         out = tmp_path / "p.tsv"
         assert main(["prune", str(dict_path), "--out", str(out)]) == 0
         assert dct.load(out).words() == ["w11"]
 
     def test_prune_zero_copies(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary([dct.DictEntry("a", 1, 2)]), dict_path)
+        dct.save(dictionary_of([("a", 1, 2)]), dict_path)
         out = tmp_path / "p.tsv"
         assert main(["prune", str(dict_path), "--threshold", "0", "--out", str(out)]) == 0
-        assert dct.load(out).entries == dct.load(dict_path).entries
+        assert rows_of(dct.load(out)) == rows_of(dct.load(dict_path))
 
     def test_prune_negative_threshold_usage_error(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary([dct.DictEntry("a", 1, 2)]), dict_path)
+        dct.save(dictionary_of([("a", 1, 2)]), dict_path)
         rc = main(["prune", str(dict_path), "--threshold", "-1",
                    "--out", str(tmp_path / "p.tsv")])
         assert rc == 1
@@ -264,15 +265,15 @@ class TestBuildAndPrune:
 class TestStats:
     def test_exact_power_law_dictionary(self, tmp_path):
         # doc counts at powers of two make the tail exactly 4096/x
-        entries = []
+        rows = []
         for k in range(1, 13):
             for i in range(2 ** (12 - k)):
                 c = 2**k
-                entries.append(dct.DictEntry(f"w{k}_{i}", c, c))
-        entries.append(dct.DictEntry("wtop", 2**13, 2**13))
-        entries.extend(dct.DictEntry(f"rare{i}", 1, 1) for i in range(100))
+                rows.append((f"w{k}_{i}", c, c))
+        rows.append(("wtop", 2**13, 2**13))
+        rows.extend((f"rare{i}", 1, 1) for i in range(100))
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary(entries), dict_path)
+        dct.save(dictionary_of(rows), dict_path)
         out = tmp_path / "stats"
         assert main(["stats", str(dict_path), "--out", str(out)]) == 0
         summary = dict(
@@ -285,8 +286,8 @@ class TestStats:
     def test_fit_summary_echoes_range(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
         doc_counts = [1] * 30 + [2] * 14 + [3] * 6 + [5] * 3 + [9, 9, 20]
-        entries = [dct.DictEntry(f"w{i}", c, c) for i, c in enumerate(doc_counts)]
-        dct.save(dct.Dictionary(entries), dict_path)
+        rows = [(f"w{i}", c, c) for i, c in enumerate(doc_counts)]
+        dct.save(dictionary_of(rows), dict_path)
         out = tmp_path / "stats"
         assert main(["stats", str(dict_path), "--range", "1:9", "--out", str(out)]) == 0
         summary = read(out / "pareto_fit.txt")
@@ -295,8 +296,8 @@ class TestStats:
 
     def test_three_entry_dictionary_csvs(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
-        entries = [dct.DictEntry("a", 3, 4), dct.DictEntry("b", 2, 2), dct.DictEntry("c", 1, 1)]
-        dct.save(dct.Dictionary(entries), dict_path)
+        rows = [("a", 3, 4), ("b", 2, 2), ("c", 1, 1)]
+        dct.save(dictionary_of(rows), dict_path)
         out = tmp_path / "stats"
         assert main(["stats", str(dict_path), "--out", str(out)]) == 0
         assert read(out / "histogram.csv").splitlines() == [
@@ -312,13 +313,13 @@ class TestStats:
 
     def test_empty_dictionary_is_input_error(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary([]), dict_path)
+        dct.save(dictionary_of([]), dict_path)
         assert main(["stats", str(dict_path), "--out", str(tmp_path / "s")]) == 2
 
     @pytest.mark.parametrize("fit_range", ["10:1", "5:5", "nan:3"])
     def test_empty_range_is_usage_error(self, tmp_path, fit_range, capsys):
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary([dct.DictEntry("a", 3, 4)]), dict_path)
+        dct.save(dictionary_of([("a", 3, 4)]), dict_path)
         out = tmp_path / "stats"
         assert main(["stats", str(dict_path), "--range", fit_range, "--out", str(out)]) == 1
         assert fit_range in capsys.readouterr().err
@@ -328,8 +329,8 @@ class TestStats:
 class TestCompare:
     def make_inputs(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
-        entries = [dct.DictEntry(w, 20 - i, 25 - i) for i, w in enumerate("abcdefghij")]
-        dct.save(dct.Dictionary(entries), dict_path)
+        rows = [(w, 20 - i, 25 - i) for i, w in enumerate("abcdefghij")]
+        dct.save(dictionary_of(rows), dict_path)
         wl_path = tmp_path / "wl.csv"
         wl_path.write_text(
             "headword,sfi\nb,90\na,80\nc,70\nf,60\ne,50\nd,40\nzz,30\n",
@@ -353,6 +354,18 @@ class TestCompare:
         assert (out / "correlations.tsv").exists()
         assert "c\t3" in read(out / "same_rank.tsv")
 
+    def test_tops_above_the_common_words_warn(self, tmp_path, caplog):
+        dict_path, wl_path = self.make_inputs(tmp_path)
+        out = tmp_path / "cmp"
+        with caplog.at_level("WARNING"):
+            assert main(["compare", str(dict_path), str(wl_path),
+                         "--tops", "1000,2,7", "--out", str(out)]) == 0
+        assert caplog.messages == ["top/bottom size 7 dropped: only 6 common words",
+                                   "top/bottom size 1000 dropped: only 6 common words"]
+        assert read(out / "top_bottom_overlap.tsv") == "n\ttop_common\tbottom_common\n2\t2\t1\n"
+        summary = json.loads(read(out / "summary.json"))
+        assert summary["top_overlap"] == {"2": 2} and summary["bottom_overlap"] == {"2": 1}
+
     @pytest.mark.parametrize("sfi", ["nan", "-inf", "1e999"])
     def test_non_finite_sfi_is_input_error(self, tmp_path, sfi, capsys):
         dict_path, wl_path = self.make_inputs(tmp_path)
@@ -374,8 +387,8 @@ class TestCompare:
 
     def test_some_stems_without_sfi_warn_with_count(self, tmp_path, caplog):
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary([dct.DictEntry(w, dc, dc + 1) for w, dc in
-                                 (("analysi", 9), ("model", 7), ("data", 5), ("the", 2))]),
+        dct.save(dictionary_of([(w, dc, dc + 1) for w, dc in
+                                (("analysi", 9), ("model", 7), ("data", 5), ("the", 2))]),
                  dict_path)
         wl_path = tmp_path / "wl.csv"
         wl_path.write_text("headword,sfi\nanalysis,40\nmodel,50\ndata,\n", encoding="utf-8")
@@ -405,8 +418,8 @@ class TestCompare:
     def test_undefined_correlation_is_null_and_every_table_written(
             self, tmp_path, rows, nulls, kept, caplog):
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary([dct.DictEntry(w, dc, dc + 1) for w, dc in
-                                 (("analysi", 9), ("model", 7), ("data", 5), ("result", 2))]),
+        dct.save(dictionary_of([(w, dc, dc + 1) for w, dc in
+                                (("analysi", 9), ("model", 7), ("data", 5), ("result", 2))]),
                  dict_path)
         wl_path = tmp_path / "wl.csv"
         wl_path.write_text("headword,sfi\n" + rows, encoding="utf-8")
@@ -492,8 +505,8 @@ class TestTableBytes:
     def test_stats_tables(self, tmp_path):
         doc_counts = [1] * 30 + [2] * 14 + [3] * 6 + [5] * 3 + [9, 9, 20]
         dict_path = tmp_path / "d.tsv"
-        dct.save(dct.Dictionary([dct.DictEntry(f"w{i}", c, c + 1)
-                                 for i, c in enumerate(doc_counts)]), dict_path)
+        dct.save(dictionary_of([(f"w{i}", c, c + 1)
+                                for i, c in enumerate(doc_counts)]), dict_path)
         out = tmp_path / "stats"
         assert main(["stats", str(dict_path), "--out", str(out)]) == 0
         assert self.written(out) == {

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dictionary_reference as ref
+from conftest import dictionary_of, rows_of
 from lexicorp import dictionary as dct
-from lexicorp.dictionary import DictEntry, Dictionary, DictionaryFormatError, Provenance
+from lexicorp.dictionary import DictionaryFormatError, Provenance
 
 
 def naive_recount(token_lists):
@@ -31,10 +32,7 @@ def naive_recount(token_lists):
 class TestBuild:
     def test_two_documents(self):
         d = dct.build([("d1", ["a", "b", "a"]), ("d2", ["a"])])
-        by_word = {e.word: e for e in d.entries}
-        assert by_word["a"] == DictEntry("a", 2, 3)
-        assert by_word["b"] == DictEntry("b", 1, 1)
-        assert d.words() == ["a", "b"]
+        assert rows_of(d) == [("a", 2, 3), ("b", 1, 1)]
 
     def test_empty_stream(self):
         assert len(dct.build([])) == 0
@@ -58,29 +56,29 @@ class TestBuild:
 
 
 class TestPrune:
-    def entries(self, counts):
-        return [DictEntry(f"w{i}", c, c) for i, c in enumerate(counts)]
+    def dictionary(self, counts, provenance=Provenance()):
+        return dictionary_of([(f"w{i}", c, c) for i, c in enumerate(counts)], provenance)
 
     def test_strict_threshold(self):
-        d = Dictionary(self.entries([12, 10, 3]))
-        assert [e.doc_count for e in dct.prune(d, 10).entries] == [12]
+        d = self.dictionary([12, 10, 3])
+        assert dct.prune(d, 10).doc.tolist() == [12]
 
     def test_threshold_zero_is_identity(self):
-        d = Dictionary(self.entries([5, 1, 2]))
-        assert dct.prune(d, 0).entries == d.entries
+        d = self.dictionary([5, 1, 2])
+        assert dct.prune(d, 0) == d
 
     def test_threshold_recorded(self):
-        d = Dictionary(self.entries([12, 10]), Provenance("c", "h", 0))
+        d = self.dictionary([12, 10], Provenance("c", "h", 0))
         assert dct.prune(d, 10).provenance.threshold == 10
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            dct.prune(Dictionary([]), -1)
+            dct.prune(dictionary_of([]), -1)
 
     def test_composition(self):
-        d = Dictionary(self.entries(range(1, 30)))
-        assert dct.prune(dct.prune(d, 7), 15).entries == dct.prune(d, 15).entries
-        assert dct.prune(dct.prune(d, 15), 7).entries == dct.prune(d, 15).entries
+        d = self.dictionary(range(1, 30))
+        assert dct.prune(dct.prune(d, 7), 15) == dct.prune(d, 15)
+        assert dct.prune(dct.prune(d, 15), 7) == dct.prune(d, 15)
 
 
 class TestSerialization:
@@ -90,14 +88,11 @@ class TestSerialization:
         return dct.deserialize(io.StringIO(buf.getvalue()))
 
     def test_round_trip(self):
-        d = Dictionary(
-            [DictEntry("a", 3, 9), DictEntry("b", 2, 2), DictEntry("c", 1, 1)],
-            Provenance("corp1", "cfg1", 0),
-        )
+        d = dictionary_of([("a", 3, 9), ("b", 2, 2), ("c", 1, 1)], Provenance("corp1", "cfg1", 0))
         assert self.roundtrip(d) == d
 
     def test_empty_dictionary(self):
-        d = Dictionary([], Provenance("x", "y", 10))
+        d = dictionary_of([], Provenance("x", "y", 10))
         got = self.roundtrip(d)
         assert len(got) == 0 and got.provenance == d.provenance
 
@@ -150,23 +145,13 @@ TOKEN_LISTS = st.lists(
 def test_counts_match_naive_recount(token_lists):
     d = dct.build(token_lists)
     doc_counts, corpus_counts = naive_recount(token_lists)
-    assert {e.word: e.doc_count for e in d.entries} == doc_counts
-    assert {e.word: e.corpus_count for e in d.entries} == corpus_counts
+    assert dict(zip(d.words(), d.doc.tolist())) == doc_counts
+    assert dict(zip(d.words(), d.corpus.tolist())) == corpus_counts
     total_tokens = sum(len(t) for _, t in token_lists)
-    assert sum(e.corpus_count for e in d.entries) == total_tokens
+    assert d.corpus.sum() == total_tokens
     n_docs = len(token_lists)
-    assert all(e.corpus_count >= e.doc_count >= 1 for e in d.entries)
-    assert all(e.doc_count <= n_docs for e in d.entries)
-
-
-@settings(max_examples=200, deadline=None)
-@given(TOKEN_LISTS, TOKEN_LISTS)
-def test_merge_consistency(lists_a, lists_b):
-    # re-key the second set so the document sets are disjoint
-    lists_b = [(f"b{i}", toks) for i, (_, toks) in enumerate(lists_b)]
-    merged = dct.merge(dct.build(lists_a), dct.build(lists_b))
-    direct = dct.build(lists_a + lists_b)
-    assert merged.entries == direct.entries
+    assert all(corpus >= doc >= 1 for _, doc, corpus in rows_of(d))
+    assert all(doc <= n_docs for doc in d.doc.tolist())
 
 
 @settings(max_examples=100, deadline=None)
@@ -178,63 +163,27 @@ def test_serialize_round_trip_property(token_lists):
     assert dct.deserialize(io.StringIO(buf.getvalue())) == d
 
 
-def test_merge_refuses_different_configs():
-    a = dct.build([("d1", ["x"])], config_hash="aaa")
-    b = dct.build([("d2", ["x"])], config_hash="bbb")
-    with pytest.raises(ValueError, match="cannot merge"):
-        dct.merge(a, b)
-    assert dct.merge(a, dct.build([("d2", ["x"])], config_hash="aaa")).entries == [
-        DictEntry("x", 2, 2)]
+# Every row a dictionary file cannot hold is refused with its line number.
+# The file is written in binary, so text mode reads "\r" as a line break.
 
-
-def test_merge_refuses_pruned_dictionaries():
-    a = dct.build([("d1", ["x", "y"]), ("d2", ["x"])])
-    b = dct.build([("d3", ["y"])])
-    for pair in ((dct.prune(a, 1), b), (b, dct.prune(a, 1))):
-        with pytest.raises(ValueError, match="pruned at threshold 1"):
-            dct.merge(*pair)
-    assert dct.merge(dct.prune(a, 0), b).entries == [DictEntry("x", 2, 2), DictEntry("y", 2, 2)]
-
-
-def test_merge_keeps_only_a_shared_corpus_id():
-    def header(a_id, b_id):
-        merged = dct.merge(dct.build([("d1", ["x"])], corpus_id=a_id, config_hash="c"),
-                           dct.build([("d2", ["x", "y"])], corpus_id=b_id, config_hash="c"))
-        buf = io.StringIO()
-        dct.serialize(merged, buf)
-        return buf.getvalue().splitlines()[0]
-
-    assert header("aaa", "aaa") == "#lexicorp-dict v1 threshold=0 config=c corpus=aaa"
-    assert header("aaa", "bbb") == "#lexicorp-dict v1 threshold=0 config=c"
-    assert header("aaa", "") == "#lexicorp-dict v1 threshold=0 config=c"
-
-
-# Every Dictionary that `save` writes, `load` reads back.
-
-@pytest.mark.parametrize("rows", [
-    [DictEntry("a", 0, 0)],
-    [DictEntry("a", -1, 3)],
-    [DictEntry("a", 2, 1)],
-    [DictEntry("a", 1, 2**63)],
-    [DictEntry("", 1, 1)],
-    [DictEntry("a\tb", 1, 1)],
-    [DictEntry("a\nb", 1, 1)],
-    [DictEntry("a\rb", 1, 1)],
-    [DictEntry("a", 1, 1), DictEntry("b", 2, 2), DictEntry("a", 3, 3)],
-    [DictEntry("a", 1.5, 2.9)],
-    [DictEntry("a", True, True)],
-    [DictEntry("a", 1, 2.0)],
-    [DictEntry("a", 1, "2")],
-    [DictEntry("a", np.True_, 2)],
-])
-def test_dictionary_refuses_rows_a_file_cannot_hold(rows):
-    with pytest.raises(ValueError):
-        Dictionary(rows)
-
-
-def test_dictionary_takes_numpy_integer_counts():
-    d = Dictionary([DictEntry("a", np.int32(2), np.uint64(3)), DictEntry("b", 1, np.int64(1))])
-    assert d.entries == [("a", 2, 3), ("b", 1, 1)]
+@pytest.mark.parametrize("rows, line_no", [
+    ("a\t0\t0\n", 2),
+    ("a\t-1\t3\n", 2),
+    ("a\t2\t1\n", 2),
+    (f"a\t1\t{2**63}\n", 2),
+    ("\t1\t1\n", 2),
+    ("a\tb\t1\t1\n", 2),
+    ("a\nb\t1\t1\n", 2),
+    ("a\rb\t1\t1\n", 2),
+    ("a\t1\t1\nb\t2\t2\na\t3\t3\n", 4),
+], ids=["doc-0", "doc-negative", "doc-above-corpus", "corpus-2**63", "empty-word",
+        "tab-in-word", "lf-in-word", "cr-in-word", "repeated-word"])
+def test_load_refuses_rows_a_file_cannot_hold(tmp_path, rows, line_no):
+    path = tmp_path / "d.tsv"
+    path.write_bytes(("#lexicorp-dict v1 threshold=0 config=c\n" + rows).encode("utf-8"))
+    with pytest.raises(DictionaryFormatError) as err:
+        dct.load(path)
+    assert err.value.line_no == line_no
 
 
 @pytest.mark.parametrize("tokens,word", [
@@ -264,7 +213,7 @@ SAVED_ROW = st.tuples(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
     st.sampled_from([1, 1, 2, 3, 2**63 - 2, 2**63 - 1, 0]),
     st.sampled_from([0, 0, 1, 2, -1]),
-).map(lambda r: DictEntry(r[0], r[1], r[1] + r[2]))
+).map(lambda r: (r[0], r[1], r[1] + r[2]))
 SAVED_ID = st.text("ab1=._-", max_size=3) | st.text("a \t\r\x85\u3000", max_size=3)
 
 
@@ -272,8 +221,8 @@ SAVED_ID = st.text("ab1=._-", max_size=3) | st.text("a \t\r\x85\u3000", max_size
 @given(st.lists(SAVED_ROW, max_size=5), SAVED_ID, SAVED_ID, st.integers(-2, 10**20))
 def test_whatever_save_writes_loads_back_equal(rows, corpus_id, config_hash, threshold):
     try:
-        d = Dictionary(rows, Provenance(corpus_id, config_hash, threshold))
-    except ValueError:
+        d = dictionary_of(rows, Provenance(corpus_id, config_hash, threshold))
+    except ValueError:  # DictionaryFormatError too
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.tsv")
@@ -341,8 +290,9 @@ def _outcome(read, text, as_file):
         got = read(_stream(text, as_file))
     except DictionaryFormatError as e:
         return ("error", e.line_no, str(e))
-    entries, provenance = got if isinstance(got, tuple) else (got.entries, got.provenance)
-    return ("ok", [(e.word, e.doc_count, e.corpus_count) for e in entries], provenance)
+    if isinstance(got, tuple):
+        return ("ok", [(e.word, e.doc_count, e.corpus_count) for e in got[0]], got[1])
+    return ("ok", rows_of(got), got.provenance)
 
 
 def _reference_outcome(text, as_file):
@@ -372,10 +322,9 @@ def test_deserialize_matches_reference(text, as_file):
     assert _outcome(dct.deserialize, text, as_file) == want
     if want[0] == "ok":
         d = dct.deserialize(_stream(text, as_file))
-        assert all(type(e) is DictEntry for e in d.entries)
         for threshold in range(6):
-            assert dct.prune(d, threshold).entries == [
-                e for e in d.entries if e.doc_count > threshold]
+            assert rows_of(dct.prune(d, threshold)) == [
+                row for row in rows_of(d) if row[1] > threshold]
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 7, 64])
@@ -453,7 +402,7 @@ def test_count_above_int64_is_a_format_error():
             dct.deserialize(io.StringIO(header + row))
         assert err.value.line_no == line_no
     d = dct.deserialize(io.StringIO(header + f"a\t1\t{big - 1}\n"))
-    assert d.entries == [DictEntry("a", 1, big - 1)]
+    assert rows_of(d) == [("a", 1, big - 1)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -462,7 +411,7 @@ def test_serialize_matches_reference(token_lists, provenance):
     d = dct.build(token_lists)
     d.provenance = provenance
     want, got = io.StringIO(), io.StringIO()
-    ref.serialize(d.entries, provenance, want)
+    ref.serialize([ref.DictEntry(*row) for row in rows_of(d)], provenance, want)
     with mock.patch.object(dct, "_CHARS_PER_WRITE", 3):
         dct.serialize(d, got)
     assert got.getvalue() == want.getvalue()
@@ -482,7 +431,7 @@ def test_loaded_dictionary_holds_less_than_its_entries():
             tracemalloc.stop()
 
     columns = held(lambda: dct.deserialize(io.StringIO(text)))
-    entries = held(lambda: [DictEntry(w, int(d), int(c)) for w, d, c in
+    entries = held(lambda: [(w, int(d), int(c)) for w, d, c in
                             (line.split("\t") for line in text.splitlines()[1:])])
     assert columns < entries
     # The words are held as one string, not as a string object each.

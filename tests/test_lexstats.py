@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import dictionary_reference
 import fit_reference
+from conftest import dictionary_of, rows_of
 from lexicorp import dictionary as dct
 from lexicorp import lexstats as ls
-from lexicorp.dictionary import DictEntry, Dictionary
 
 
 def make_dict(doc_counts):
-    return Dictionary([DictEntry(f"w{i}", c, c) for i, c in enumerate(doc_counts)])
+    return dictionary_of([(f"w{i}", c, c) for i, c in enumerate(doc_counts)])
 
 
 def power_curve(alpha, beta, xs):
@@ -41,7 +41,8 @@ class TestHistogram:
     def test_matches_reference(self, doc_counts):
         d = make_dict(doc_counts)
         h = ls.histogram(d)
-        assert h.counts == dictionary_reference.histogram_counts(d.entries)
+        assert h.counts == dictionary_reference.histogram_counts(
+            [dictionary_reference.DictEntry(*row) for row in rows_of(d)])
         assert all(type(n) is int and type(k) is int for n, k in h.counts.items())
         assert h.total_words == len(doc_counts)
 
@@ -155,9 +156,9 @@ class TestFitPareto:
         assert fit.alpha == pytest.approx(0.5752, abs=0.05)
 
     def test_statistics_order_invariant(self):
-        entries = [DictEntry(f"w{i}", c, c + 1) for i, c in enumerate([5, 3, 3, 2, 1, 1, 1])]
-        a = ls.histogram(Dictionary(entries))
-        b = ls.histogram(Dictionary(list(reversed(entries))))
+        rows = [(f"w{i}", c, c + 1) for i, c in enumerate([5, 3, 3, 2, 1, 1, 1])]
+        a = ls.histogram(dictionary_of(rows))
+        b = ls.histogram(dictionary_of(list(reversed(rows))))
         assert a == b
 
 

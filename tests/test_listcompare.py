@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compare_reference as ref
+from conftest import dictionary_of
 from lexicorp import listcompare as lc
 from lexicorp.config import InputError
-from lexicorp.dictionary import DictEntry, Dictionary
 
 
 # ---------------------------------------------------------------- oracles
@@ -59,7 +59,7 @@ def oracle_spearman_no_ties(xs, ys):
 # ---------------------------------------------------------------- fixtures
 
 def make_dict(words_with_counts):
-    return Dictionary([DictEntry(w, c, c + 1) for w, c in words_with_counts])
+    return dictionary_of([(w, c, c + 1) for w, c in words_with_counts])
 
 
 def stemmed(entries):
@@ -483,7 +483,7 @@ def compare_inputs(draw):
     words = draw(st.permutations(POOL))[:n_dict]
     doc = draw(st.lists(st.integers(1, 4), min_size=n_dict, max_size=n_dict))  # ties
     extra = draw(st.lists(st.integers(0, 2), min_size=n_dict, max_size=n_dict))
-    d = Dictionary([DictEntry(w, c, c + e) for w, c, e in zip(words, doc, extra)])
+    d = dictionary_of([(w, c, c + e) for w, c, e in zip(words, doc, extra)])
     # distinct stems, some of them not in the dictionary
     stems = draw(st.permutations(POOL))[:draw(st.integers(1, 40))]
     sfi = st.sampled_from([1.0, 2.5, 50.0]) | st.floats(0.01, 100)  # ties, and not
