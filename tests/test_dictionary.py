@@ -176,14 +176,47 @@ def test_serialize_round_trip_property(token_lists):
     ("a\nb\t1\t1\n", 2),
     ("a\rb\t1\t1\n", 2),
     ("a\t1\t1\nb\t2\t2\na\t3\t3\n", 4),
+    ("a\t1.5\t2.9\n", 2),
+    ("a\tTrue\tTrue\n", 2),
+    ("a\t1\t2.0\n", 2),
+    ("a\t1\t\n", 2),
 ], ids=["doc-0", "doc-negative", "doc-above-corpus", "corpus-2**63", "empty-word",
-        "tab-in-word", "lf-in-word", "cr-in-word", "repeated-word"])
+        "tab-in-word", "lf-in-word", "cr-in-word", "repeated-word",
+        "float-counts", "bool-counts", "float-corpus", "empty-count"])
 def test_load_refuses_rows_a_file_cannot_hold(tmp_path, rows, line_no):
     path = tmp_path / "d.tsv"
     path.write_bytes(("#lexicorp-dict v1 threshold=0 config=c\n" + rows).encode("utf-8"))
     with pytest.raises(DictionaryFormatError) as err:
         dct.load(path)
     assert err.value.line_no == line_no
+
+
+def _built():
+    return dct.build([("d1", ["a", "b", "a"]), ("d2", ["a"])])
+
+
+def _pruned():
+    return dct.prune(_built(), 1)
+
+
+def _loaded():
+    return dictionary_of([("b", 1, 1), ("a", 2, 3)])
+
+
+@pytest.mark.parametrize("make", [_built, _pruned, _loaded], ids=["build", "prune", "load"])
+def test_every_maker_holds_read_only_int64_columns(make):
+    d = make()
+    for column in (d.doc, d.corpus):
+        assert column.dtype == np.int64 and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 7
+
+
+def test_prune_copies_no_column():
+    d = _built()
+    pruned = dct.prune(d, 1)
+    assert rows_of(pruned) == [("a", 2, 3)]
+    assert np.shares_memory(pruned.doc, d.doc) and np.shares_memory(pruned.corpus, d.corpus)
 
 
 @pytest.mark.parametrize("tokens,word", [
