@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, NoReturn
 
 import numpy as np
@@ -25,10 +26,12 @@ from .atomic import atomic_open
 from .config import InputError
 
 # Characters `deserialize` reads at a time; each chunk is then extended to
-# the end of its last line. Reading the whole body at once holds the text
-# and all its cells at the same time: loading a 300k-row file then peaks
-# at 85 MiB RSS instead of 58 MiB.
-_CHUNK_CHARS = 1 << 19
+# the end of its last line. A chunk's bytes, masks and index arrays are
+# freed before the next is read, so the size sets the peak: loading a
+# 300k-row file peaks at 52 MiB RSS with 2**17, 61 MiB with 2**19 and
+# 85 MiB with the whole body at once (Linux x86-64, CPython 3.11, numpy
+# 2.4), and the larger sizes are no faster.
+_CHUNK_CHARS = 1 << 17
 # Characters of words, rounded up to whole rows, `serialize` writes at once.
 _CHARS_PER_WRITE = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
@@ -145,7 +148,15 @@ _HEADER_RE = re.compile(
 
 
 def serialize(d: Dictionary, stream: IO[str]) -> None:
-    """Write the interchange format: header line, then one entry per line."""
+    """Write the interchange format: header line, then one entry per line.
+
+    A word holding "\\r" raises ValueError, as in `build`: `load` would
+    read it as a line break. Only `deserialize` of a stream not in text
+    mode, such as a StringIO, makes such a word.
+    """
+    if "\r" in d._text:
+        word = next(w for w in d.words() if "\r" in w)
+        raise ValueError(f"word {word!r} is empty or holds a tab or line break")
     p = d.provenance
     header = f"#lexicorp-dict v1 threshold={p.threshold} config={p.config_hash}"
     if p.corpus_id:
@@ -188,31 +199,74 @@ def _raise_first_error(lines: list[str], line_no: int, seen: set[str]) -> NoRetu
 
 
 def _parse_chunk(chunk: str):
-    """The (words, doc, corpus) columns of `chunk`, whole lines each ending
+    """The (text, doc, corpus) columns of `chunk`, whole lines each ending
     in "\\n", if every line is a well formed row or blank; else None.
-    Repeated words are not checked here."""
-    if chunk.startswith("\n") or "\n\n" in chunk:
-        chunk = _BLANK_LINE_RE.sub("", chunk)
+    `text` holds the words joined by "\\n". Repeated words are not checked
+    here.
+
+    The cells are found in the chunk's UTF-8 bytes, and the words decoded
+    from them in one call. When every count cell of the chunk is 1 to 18
+    ASCII digits, the counts are parsed from the bytes too; a chunk with
+    any other count cell parses its counts by the rules of int().
+    """
+    code = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
     # UTF-8 keeps "\t" and "\n" as single bytes found nowhere else, so
     # every line holds three cells exactly when the tabs and newlines come
-    # as tab, tab, newline throughout.
-    code = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
-    seps = code[(code == 9) | (code == 10)]
-    if (len(seps) % 3 or (seps.reshape(-1, 3) != (9, 9, 10)).any()
-            or chunk.startswith("\t") or "\n\t" in chunk):
+    # as tab, tab, newline throughout; row i's are then at seps[i].
+    seps = np.flatnonzero((code == 9) | (code == 10))
+    if len(seps) % 3 or (code[seps].reshape(-1, 3) != (9, 9, 10)).any():
+        # A blank line breaks that pattern too.
+        if chunk.startswith("\n") or "\n\n" in chunk:
+            return _parse_chunk(_BLANK_LINE_RE.sub("", chunk))
         return None
-    cells = chunk.replace("\n", "\t").split("\t")
-    cells.pop()
-    try:
-        # numpy parses each string by the rules of int(), and raises
-        # OverflowError for a value outside int64.
-        doc = np.array(cells[1::3], dtype=np.int64)
-        corpus = np.array(cells[2::3], dtype=np.int64)
-    except (ValueError, OverflowError):
+    seps = seps.reshape(-1, 3)
+    # Each row's word, with the newline before it (byte -1 for the first
+    # row), alternates with the bytes from its first tab to its newline.
+    spans = np.diff(seps[:, ::2].ravel(), prepend=-1)
+    if (spans[::2] == 1).any():  # a newline, then a tab: an empty word
         return None
+    counts = _digit_counts(code, seps)
+    if counts is None:
+        cells = chunk.replace("\n", "\t").split("\t")
+        try:
+            # numpy parses each string by the rules of int(), and raises
+            # OverflowError for a value outside int64.
+            counts = np.array([cells[1::3], cells[2::3]], dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+        del cells
+    doc, corpus = counts
     if not ((doc >= 1).all() and (corpus >= doc).all()):
         return None
-    return cells[0::3], doc, corpus
+    keep = np.repeat(np.tile((True, False), len(seps)), spans)[1:]
+    del seps, spans
+    return str(code[:-1][keep], "utf-8", "surrogatepass"), doc, corpus
+
+
+def _digit_counts(code: np.ndarray, seps: np.ndarray):
+    """The doc and corpus counts of the rows whose tabs and newline are at
+    `seps`, as the rows of one array, if every count cell is 1 to 18 ASCII
+    digits, which keeps it below 10**18 and inside int64; else None."""
+    widths = np.diff(seps, axis=1)
+    widths -= 1
+    if widths.size and (widths.min() < 1 or widths.max() > 18):
+        return None
+    width = widths.max(initial=0)
+    at = seps[:, 1:] - width  # `width` bytes before each cell's end
+    values = np.zeros(widths.shape, np.int64)
+    digits = np.empty(widths.shape, np.uint8)
+    # Horner's rule over the cells aligned at their ends: step k reads the
+    # k-th byte from each cell's end, or a leading zero before its start.
+    for k in range(width, 0, -1):
+        np.take(code, at, out=digits, mode="clip")
+        digits -= 48  # wraps every byte that is not a digit above 9
+        digits *= widths >= k
+        if digits.max() > 9:
+            return None
+        values *= 10
+        values += digits
+        at += 1
+    return values.T
 
 
 def _word_hashes(words: list[str]) -> np.ndarray:
@@ -220,13 +274,51 @@ def _word_hashes(words: list[str]) -> np.ndarray:
     return np.fromiter(map(hash, words), np.int64, len(words))
 
 
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """A new array of `size` elements that starts with those of `a`; the
+    rest are left unset, so the pages of a large one are not touched."""
+    grown = np.empty(size, a.dtype)
+    grown[:len(a)] = a
+    return grown
+
+
+def _raise_first_repeat(texts: list[str], hashes: np.ndarray, blank_lines: list[int]) -> None:
+    """Raise the error of the first row, in file order, whose word an
+    earlier row holds, if there is one. `texts` holds the words of the rows
+    read so far, "\\n"-joined, `hashes` their hashes, which this sorts, and
+    `blank_lines` the numbers of the blank lines among them, in order."""
+    hashes.sort()
+    if not (hashes[1:] == hashes[:-1]).any():
+        return
+    # A hash clash: compare the words themselves, so two distinct words
+    # that share a hash are not taken for a repeat.
+    seen: set[str] = set()
+    for row, word in enumerate(chain.from_iterable(t.split("\n") for t in texts)):
+        if word in seen:
+            line_no = row + 2
+            for blank in blank_lines:  # each blank line at or before the row moves it on
+                line_no += blank <= line_no
+            raise DictionaryFormatError(line_no, f"duplicate word {word!r}")
+        seen.add(word)
+
+
 def _read_body(stream: IO[str]):
     """The (text, doc, corpus) columns of the rows after the header line,
-    sorted into canonical order if they are not in it."""
+    sorted into canonical order if they are not in it.
+
+    Repeats are looked for once, by one sort of the hashes of all words:
+    at the end, or before reporting the first bad row of a chunk that
+    fails, since a repeat in an earlier chunk comes before it.
+    """
     texts: list[str] = []
     docs: list[np.ndarray] = [np.zeros(0, np.int64)]
     corpora: list[np.ndarray] = [np.zeros(0, np.int64)]
-    hashes = docs[0]
+    # The hashes of the first `rows` words, in one buffer that doubles when
+    # full: so each hash is copied at most twice, and the buffer's memory
+    # goes back to the system when it is freed, where many small arrays,
+    # one per chunk, stay in the allocator's heap.
+    hashes, rows = np.zeros(0, np.int64), 0
+    blank_lines: list[int] = []  # the numbers of the blank lines, for a repeat's line number
     last = ([], docs[0], corpora[0])  # the last row so far, as columns
     in_order = True
     line_no = 2
@@ -236,23 +328,28 @@ def _read_body(stream: IO[str]):
             if not chunk.endswith("\n"):  # the last line, without its newline
                 chunk += "\n"
         parsed = _parse_chunk(chunk)
-        if parsed is not None:
-            hashes = np.concatenate((hashes, np.sort(_word_hashes(parsed[0]))))
-            hashes.sort(kind="stable")  # merges the two sorted runs in linear time
-        if parsed is None or (hashes[1:] == hashes[:-1]).any():  # a bad row, or a hash clash
-            prior = set("\n".join(texts).split("\n"))
-            if parsed is None or len(prior.union(parsed[0])) < len(prior) + len(parsed[0]):
-                _raise_first_error(chunk.split("\n")[:-1], line_no, prior)
-        words, doc, corpus = parsed
-        line_no += chunk.count("\n")
-        if not words:
+        if parsed is None:
+            _raise_first_repeat(texts, hashes[:rows], blank_lines)
+            _raise_first_error(chunk.split("\n")[:-1], line_no, set("\n".join(texts).split("\n")))
+        text, doc, corpus = parsed
+        lines = chunk.count("\n")
+        if len(doc) < lines:  # blank lines
+            blank_lines += [n for n, line in enumerate(chunk.split("\n")[:-1], line_no) if not line]
+        line_no += lines
+        if not len(doc):
             continue
+        words = text.split("\n")
+        if rows + len(words) > len(hashes):
+            hashes = _grown(hashes[:rows], 2 * (rows + len(words)))
+        hashes[rows:rows + len(words)] = _word_hashes(words)
+        rows += len(words)
         in_order = in_order and _in_canonical_order(
             last[0] + words, np.concatenate((last[1], doc)), np.concatenate((last[2], corpus)))
         last = (words[-1:], doc[-1:], corpus[-1:])
-        texts.append("\n".join(words))
+        texts.append(text)
         docs.append(doc)
         corpora.append(corpus)
+    _raise_first_repeat(texts, hashes[:rows], blank_lines)
     del hashes  # joining the columns while they were held raised peak RSS by 3 MiB
     columns = "\n".join(texts), np.concatenate(docs), np.concatenate(corpora)
     return columns if in_order else _canonical(columns[0].split("\n"), *columns[1:])
@@ -276,9 +373,11 @@ def deserialize(stream: IO[str]) -> Dictionary:
 
     The body is read in chunks and each chunk is checked in bulk; a chunk
     that fails any check holds a bad row, and a row loop only finds the
-    first one and reports it. Rows in canonical order, as `serialize` writes
-    them, are kept as read; rows in any other order are sorted. Counts
-    must fit in a signed 64-bit integer.
+    first one and reports it. A repeated word is found by one sort of the
+    hashes of all words, at the end or before a failed chunk is looked
+    into. Rows in canonical order, as `serialize` writes them, are kept as
+    read; rows in any other order are sorted. Counts must fit in a signed
+    64-bit integer.
     """
     header = stream.readline()
     if not header:

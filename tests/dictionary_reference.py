@@ -6,7 +6,10 @@ against:
   entries, a per-line parse with every check in sequence, and a sort of
   the result by the canonical key whatever order the rows came in;
 - the writer that wrote one row per `stream.write`;
-- the histogram that counted doc counts in a dict, row by row.
+- the histogram that counted doc counts in a dict, row by row;
+- the chunk parser from before the counts and words were read from the
+  chunk's bytes: it split the chunk into one string per cell and parsed
+  the counts with `np.array(cells, dtype=np.int64)`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-from lexicorp.dictionary import _HEADER_RE, DictionaryFormatError, Provenance
+import numpy as np
+
+from lexicorp.dictionary import _BLANK_LINE_RE, _HEADER_RE, DictionaryFormatError, Provenance
 
 
 @dataclass(frozen=True)
@@ -81,3 +86,31 @@ def histogram_counts(entries) -> dict[int, int]:
     for e in entries:
         counts[e.doc_count] = counts.get(e.doc_count, 0) + 1
     return counts
+
+
+def parse_chunk(chunk: str):
+    """The (words, doc, corpus) columns of `chunk`, whole lines each ending
+    in "\\n", if every line is a well formed row or blank; else None.
+    Repeated words are not checked here."""
+    if chunk.startswith("\n") or "\n\n" in chunk:
+        chunk = _BLANK_LINE_RE.sub("", chunk)
+    # UTF-8 keeps "\t" and "\n" as single bytes found nowhere else, so
+    # every line holds three cells exactly when the tabs and newlines come
+    # as tab, tab, newline throughout.
+    code = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = code[(code == 9) | (code == 10)]
+    if (len(seps) % 3 or (seps.reshape(-1, 3) != (9, 9, 10)).any()
+            or chunk.startswith("\t") or "\n\t" in chunk):
+        return None
+    cells = chunk.replace("\n", "\t").split("\t")
+    cells.pop()
+    try:
+        # numpy parses each string by the rules of int(), and raises
+        # OverflowError for a value outside int64.
+        doc = np.array(cells[1::3], dtype=np.int64)
+        corpus = np.array(cells[2::3], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if not ((doc >= 1).all() and (corpus >= doc).all()):
+        return None
+    return cells[0::3], doc, corpus

@@ -426,6 +426,116 @@ def test_repeat_in_a_later_chunk_matches_reference(n_rows, chunk_chars, clash):
     assert got[:2] == ("error", n_rows - 8)
 
 
+@pytest.mark.parametrize("clash", [False, True])
+@pytest.mark.parametrize("body, line_no", [
+    ("a\t2\t2\nb\t1\t1\na\t1\t1\nc\t0\t1\n", 4),
+    ("a\t2\t2\n\nb\t1\t1\n\n\na\t1\t1\n\nc\t1\n", 7),
+], ids=["rows", "blank-lines"])
+def test_repeat_wins_over_a_bad_row_after_it(body, line_no, clash):
+    # In chunks of a line or so, the repeat comes in a chunk that passes
+    # and the bad row in a later one, which fails.
+    text = "#lexicorp-dict v1 threshold=0 config=c\n" + body
+    want = ("error", line_no, f"line {line_no}: duplicate word 'a'")
+    assert _outcome(ref.deserialize, text, False) == want
+    for chunk_chars in range(1, len(text) + 1):
+        with mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(dct, "_word_hashes", _same_hash if clash else dct._word_hashes):
+            assert _outcome(dct.deserialize, text, False) == want, chunk_chars
+
+
+def test_save_refuses_a_word_load_would_split(tmp_path):
+    # deserialize keeps a "\r" in a word from a stream not in text mode;
+    # load would read that "\r" as a line break.
+    d = dct.deserialize(io.StringIO("#lexicorp-dict v1 threshold=0 config=c\na\rb\t1\t1\n"))
+    assert d.words() == ["a\rb"]
+    with pytest.raises(ValueError, match=re.escape(repr("a\rb"))):
+        dct.save(d, tmp_path / "d.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Differential test of the chunk parser against the one in
+# dictionary_reference, which split each chunk into one string per cell.
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+CHUNK_WORD = st.text(st.sampled_from("ab é中\r\x85\U0001f600\U0001d11e\ud800\udfff"),
+                     min_size=1, max_size=3)
+
+
+def _spellings(n, plain):
+    """Ways to write a count that int() reads as n: its digits, with or
+    without leading zeros, and unless `plain`, also what else int() reads."""
+    digits = [str(n)] * 3 + ["000" + str(n)] * (n >= 0)
+    if plain:
+        return st.sampled_from(digits)
+    return st.sampled_from(digits + [
+        f"+{n}", f" {n}", f"{n} ", f"{n}\r", str(n).translate(_ARABIC_INDIC),
+        "-" * (n < 0) + "_".join(str(abs(n)))])
+
+
+@st.composite
+def chunks(draw):
+    """Rows whose counts are small, 18 to 20 digits (2**64 + 1 among them,
+    which wraps to 1 in 64 bits), 0 or the doc count above the corpus count,
+    spelled as plain digits or as int() also reads them, with blank and
+    malformed rows mixed in."""
+    plain = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        doc = draw(st.sampled_from([1] * 6 + [2, 2, 7, 12, 10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**64 + 1, 0]))
+        corpus = doc + draw(st.sampled_from([0, 0, 0, 0, 1, 1, 1, 10**18, -1]))
+        rows.append("\t".join([draw(CHUNK_WORD), draw(_spellings(doc, plain)), draw(_spellings(corpus, plain))]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        junk = st.tuples(CHUNK_WORD, COUNT_TEXT, COUNT_TEXT).map("\t".join) | JUNK_ROW
+        rows.insert(draw(st.integers(0, len(rows))), draw(junk))
+    return "".join(row + "\n" for row in rows)
+
+
+def _parsed(parse, chunk):
+    """`parse(chunk)` as (words, doc, corpus) lists, or None; and whether
+    `dictionary._parse_chunk` read the counts from the bytes."""
+    byte_parses = []
+    real = dct._digit_counts
+
+    def spy(code, seps):
+        counts = real(code, seps)
+        byte_parses.append(counts is not None)
+        return counts
+
+    with mock.patch.object(dct, "_digit_counts", spy):
+        got = parse(chunk)
+    if got is not None:
+        words, doc, corpus = got
+        assert doc.dtype == corpus.dtype == np.int64
+        if isinstance(words, str):
+            words = words.split("\n") if len(doc) else []
+        got = words, doc.tolist(), corpus.tolist()
+    return got, any(byte_parses)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(chunks())
+def test_parse_chunk_matches_reference(chunk):
+    assert _parsed(dct._parse_chunk, chunk)[0] == _parsed(ref.parse_chunk, chunk)[0]
+
+
+def test_parse_chunk_reads_a_saved_file_from_its_bytes():
+    rows = [("中\U0001f600", 10**18 - 1, 10**18 - 1), ("é", 5, 7), ("a", 1, 10), ("b", 1, 1)]
+    buf = io.StringIO()
+    dct.serialize(dictionary_of(rows), buf)
+    chunk = buf.getvalue().split("\n", 1)[1]
+    got, byte_parse = _parsed(dct._parse_chunk, chunk)
+    assert byte_parse
+    assert got == _parsed(ref.parse_chunk, chunk)[0] == (
+        [w for w, _, _ in rows], [d for _, d, _ in rows], [c for _, _, c in rows])
+
+
+def test_parse_chunk_reads_a_chunk_with_one_signed_count_by_int_rules():
+    chunk = "a\t3\t4\nb\t+5\t5\nc\t1\t1\n"
+    got, byte_parse = _parsed(dct._parse_chunk, chunk)
+    assert not byte_parse
+    assert got == _parsed(ref.parse_chunk, chunk)[0] == (["a", "b", "c"], [3, 5, 1], [4, 5, 1])
+
+
 def test_count_above_int64_is_a_format_error():
     header = "#lexicorp-dict v1 threshold=0 config=c\n"
     big = 2**63
