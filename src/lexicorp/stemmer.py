@@ -8,8 +8,11 @@ the start of R1. The regions are then carried as suffix strings of the
 evolving word and updated alongside every edit, matching the region
 bookkeeping of the widely deployed ports of the algorithm.
 
-Most words match no rule of a step, so each rule loop runs only after
-one `str.endswith` test against all of its suffixes has passed.
+Steps 2, 3 and 4 are suffix tables in the Snowball form. `_longest` is
+`among`: after one `str.endswith` test against all of a table's
+suffixes, which most words fail, it finds the longest that ends the
+word, and that suffix's row alone decides the edit. Step 1b and the
+apostrophe step find their suffix with it too.
 
 Tokens containing digits and tokens with non-ASCII characters are
 returned unchanged; chemical formulas and foreign words must survive
@@ -52,78 +55,79 @@ _SPECIAL = {
     "succeeded": "succeed", "succeeding": "succeed",
 }
 
-# Step 2 rules: suffix -> (action, argument, R2 fallback). "cut" removes
-# the last `arg` characters; "sub" rewrites the whole suffix as `arg`;
-# "sub1" rewrites only the last character. The fallback is what R2
-# becomes when the edit consumes more of the word than R2 covered.
-_STEP2 = (
-    ("ization", ("sub", "ize", "")),
-    ("ational", ("sub", "ate", "e")),
-    ("fulness", ("cut", 4, None)),
-    ("ousness", ("sub", "ous", "")),
-    ("iveness", ("sub", "ive", "e")),
-    ("tional", ("cut", 2, None)),
-    ("biliti", ("sub", "ble", "")),
-    ("lessli", ("cut", 2, None)),
-    ("entli", ("cut", 2, None)),
-    ("ation", ("sub", "ate", "e")),
-    ("alism", ("sub", "al", "")),
-    ("aliti", ("sub", "al", "")),
-    ("ousli", ("sub", "ous", "")),
-    ("iviti", ("sub", "ive", "e")),
-    ("fulli", ("cut", 2, None)),
-    ("enci", ("sub1", "e", "")),
-    ("anci", ("sub1", "e", "")),
-    ("abli", ("sub1", "e", "")),
-    ("izer", ("sub", "ize", "")),
-    ("ator", ("sub", "ate", "e")),
-    ("alli", ("sub", "al", "")),
-    ("bli", ("sub", "ble", "")),
-    ("ogi", None),  # guarded: needs a preceding "l"
-    ("li", None),   # guarded: needs a valid li-ending
-)
-
-_STEP3 = (
-    ("ational", ("sub", "ate", "")),
-    ("tional", ("cut", 2, None)),
-    ("alize", ("cut", 3, None)),
-    ("icate", ("sub", "ic", "")),
-    ("iciti", ("sub", "ic", "")),
-    ("ative", None),  # guarded: deletion requires R2
-    ("ical", ("sub", "ic", "")),
-    ("ness", ("cut", 4, None)),
-    ("ful", ("cut", 3, None)),
-)
-
-_STEP4_SUFFIXES = (
-    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent",
-    "ism", "ate", "iti", "ous", "ive", "ize", "ion", "al", "er", "ic",
-)
-
-_STEP1B_SUFFIXES = ("eedly", "ingly", "edly", "eed", "ing", "ed")
-_STEP2_SUFFIXES = tuple(suffix for suffix, _ in _STEP2)
-_STEP3_SUFFIXES = tuple(suffix for suffix, _ in _STEP3)
+# Steps 2-4: suffix -> (region, before, cut, repl, r2_fallback). The
+# rule applies if `region` (R1, R2 or both) ends with the suffix and the
+# character before it is in `before` (any, when empty); it then replaces
+# the last `cut` characters by `repl`. R2 becomes `r2_fallback` when the
+# edit consumes more of the word than R2 covered.
+_R1, _R2 = 1, 2
 
 
-def _cut(word, r1, r2, k):
-    return word[:-k], r1[:-k], r2[:-k]
+def _table(rules):
+    """A step's rules, with their suffixes listed longest first."""
+    return tuple(sorted(rules, key=len, reverse=True)), rules
 
 
-def _sub(word, r1, r2, suffix, repl, r2_fallback=""):
-    n = len(suffix)
-    word = word[:-n] + repl
-    r1 = r1[:-n] + repl if len(r1) >= n else ""
-    r2 = r2[:-n] + repl if len(r2) >= n else r2_fallback
-    return word, r1, r2
+_STEP2 = _table({
+    "ization": (_R1, "", 7, "ize", ""),
+    "ational": (_R1, "", 7, "ate", "e"),
+    "fulness": (_R1, "", 4, "", ""),
+    "ousness": (_R1, "", 7, "ous", ""),
+    "iveness": (_R1, "", 7, "ive", "e"),
+    "tional": (_R1, "", 2, "", ""),
+    "biliti": (_R1, "", 6, "ble", ""),
+    "lessli": (_R1, "", 2, "", ""),
+    "entli": (_R1, "", 2, "", ""),
+    "ation": (_R1, "", 5, "ate", "e"),
+    "alism": (_R1, "", 5, "al", ""),
+    "aliti": (_R1, "", 5, "al", ""),
+    "ousli": (_R1, "", 5, "ous", ""),
+    "iviti": (_R1, "", 5, "ive", "e"),
+    "fulli": (_R1, "", 2, "", ""),
+    "enci": (_R1, "", 1, "e", ""),
+    "anci": (_R1, "", 1, "e", ""),
+    "abli": (_R1, "", 1, "e", ""),
+    "izer": (_R1, "", 4, "ize", ""),
+    "ator": (_R1, "", 4, "ate", "e"),
+    "alli": (_R1, "", 4, "al", ""),
+    "bli": (_R1, "", 3, "ble", ""),
+    "ogi": (_R1, "l", 1, "", ""),
+    "li": (_R1, _LI_ENDINGS, 2, "", ""),
+})
+
+_STEP3 = _table({
+    "ational": (_R1, "", 7, "ate", ""),
+    "tional": (_R1, "", 2, "", ""),
+    "alize": (_R1, "", 3, "", ""),
+    "icate": (_R1, "", 5, "ic", ""),
+    "iciti": (_R1, "", 5, "ic", ""),
+    "ative": (_R1 | _R2, "", 5, "", ""),
+    "ical": (_R1, "", 4, "ic", ""),
+    "ness": (_R1, "", 4, "", ""),
+    "ful": (_R1, "", 3, "", ""),
+})
+
+_STEP4 = _table({suffix: (_R2, "", len(suffix), "", "") for suffix in (
+    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ism",
+    "ate", "iti", "ous", "ive", "ize", "al", "er", "ic")} | {"ion": (_R2, "st", 3, "", "")})
 
 
-def _apply(word, r1, r2, suffix, action):
-    kind, arg, fallback = action
-    if kind == "cut":
-        return _cut(word, r1, r2, arg)
-    if kind == "sub1":
-        return _sub(word, r1, r2, suffix[-1:], arg)
-    return _sub(word, r1, r2, suffix, arg, fallback)
+def _edit(word, r1, r2, n, repl="", r2_fallback=""):
+    """Replace the last `n` characters of the word and of both regions by
+    `repl`; a region shorter than `n` becomes "", and R2 `r2_fallback`."""
+    return (word[:-n] + repl,
+            r1[:-n] + repl if len(r1) >= n else "",
+            r2[:-n] + repl if len(r2) >= n else r2_fallback)
+
+
+def _longest(word, suffixes):
+    """The first of `suffixes` (listed longest first) that ends `word`, or
+    None. One `str.endswith` over all of them screens out most words."""
+    if word.endswith(suffixes):
+        for suffix in suffixes:
+            if word.endswith(suffix):
+                return suffix
+    return None
 
 
 def _regions(word):
@@ -158,94 +162,57 @@ def _has_vowel(part):
 
 def _step1a(word, r1, r2):
     if word.endswith("sses"):
-        return _cut(word, r1, r2, 2)
+        return _edit(word, r1, r2, 2)
     if word.endswith(("ied", "ies")):
-        return _cut(word, r1, r2, 2 if len(word) > 4 else 1)
+        return _edit(word, r1, r2, 2 if len(word) > 4 else 1)
     if word.endswith(("us", "ss")):
         return word, r1, r2
     if word.endswith("s") and _has_vowel(word[:-2]):
-        return _cut(word, r1, r2, 1)
+        return _edit(word, r1, r2, 1)
     return word, r1, r2
 
 
 def _step1b(word, r1, r2):
-    if not word.endswith(_STEP1B_SUFFIXES):
+    suffix = _longest(word, ("eedly", "ingly", "edly", "eed", "ing", "ed"))
+    if suffix is None:
         return word, r1, r2
-    for suffix in _STEP1B_SUFFIXES:
-        if not word.endswith(suffix):
-            continue
-        if suffix in ("eedly", "eed"):
-            if r1.endswith(suffix):
-                word, r1, r2 = _sub(word, r1, r2, suffix, "ee")
-            return word, r1, r2
-        if not _has_vowel(word[:-len(suffix)]):
-            return word, r1, r2
-        word, r1, r2 = _cut(word, r1, r2, len(suffix))
-        if word.endswith(("at", "bl", "iz")):
-            word += "e"
-            r1 += "e"
-            if len(word) > 5 or len(r1) >= 3:
-                r2 += "e"
-        elif word.endswith(_DOUBLES):
-            word, r1, r2 = _cut(word, r1, r2, 1)
-        elif r1 == "" and _ends_short_syllable(word):
-            word += "e"
+    if suffix in ("eedly", "eed"):
+        if r1.endswith(suffix):
+            word, r1, r2 = _edit(word, r1, r2, len(suffix), "ee")
         return word, r1, r2
+    if not _has_vowel(word[:-len(suffix)]):
+        return word, r1, r2
+    word, r1, r2 = _edit(word, r1, r2, len(suffix))
+    if word.endswith(("at", "bl", "iz")):
+        word += "e"
+        r1 += "e"
+        if len(word) > 5 or len(r1) >= 3:
+            r2 += "e"
+    elif word.endswith(_DOUBLES):
+        word, r1, r2 = _edit(word, r1, r2, 1)
+    elif r1 == "" and _ends_short_syllable(word):
+        word += "e"
     return word, r1, r2
 
 
 def _step1c(word, r1, r2):
     if len(word) > 2 and word[-1] in "yY" and word[-2] not in _VOWELS:
-        return _sub(word, r1, r2, word[-1], "i")
+        return _edit(word, r1, r2, 1, "i")
     return word, r1, r2
 
 
-def _step2(word, r1, r2):
-    if not word.endswith(_STEP2_SUFFIXES):
+def _step(word, r1, r2, table):
+    """Steps 2-4: the rule of the longest suffix of `word` in `table`."""
+    suffixes, rules = table
+    suffix = _longest(word, suffixes)
+    if suffix is None:
         return word, r1, r2
-    for suffix, action in _STEP2:
-        if word.endswith(suffix):
-            if r1.endswith(suffix):
-                if suffix == "ogi":
-                    if word[-4] == "l":
-                        return _cut(word, r1, r2, 1)
-                elif suffix == "li":
-                    if word[-3] in _LI_ENDINGS:
-                        return _cut(word, r1, r2, 2)
-                else:
-                    return _apply(word, r1, r2, suffix, action)
-            return word, r1, r2
-    return word, r1, r2
-
-
-def _step3(word, r1, r2):
-    if not word.endswith(_STEP3_SUFFIXES):
+    region, before, n, repl, r2_fallback = rules[suffix]
+    if (region & _R1 and not r1.endswith(suffix)
+            or region & _R2 and not r2.endswith(suffix)
+            or before and word[-len(suffix) - 1] not in before):
         return word, r1, r2
-    for suffix, action in _STEP3:
-        if word.endswith(suffix):
-            if r1.endswith(suffix):
-                if suffix == "ative":
-                    if r2.endswith(suffix):
-                        return _cut(word, r1, r2, 5)
-                else:
-                    return _apply(word, r1, r2, suffix, action)
-            return word, r1, r2
-    return word, r1, r2
-
-
-def _step4(word, r1, r2):
-    if not word.endswith(_STEP4_SUFFIXES):
-        return word, r1, r2
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            if r2.endswith(suffix):
-                if suffix == "ion":
-                    if word[-4] in "st":
-                        return _cut(word, r1, r2, 3)
-                else:
-                    return _cut(word, r1, r2, len(suffix))
-            return word, r1, r2
-    return word, r1, r2
+    return _edit(word, r1, r2, n, repl, r2_fallback)
 
 
 def _step5(word, r1, r2):
@@ -272,8 +239,7 @@ def _porter2(word):
 
     if not word.isascii():
         word = word.replace("’", "'").replace("‘", "'").replace("‛", "'")
-    apostrophe = "'" in word
-    if apostrophe and word.startswith("'"):
+    if word.startswith("'"):
         word = word[1:]
 
     # Mark y's that act as consonants so they fail the vowel tests. The
@@ -286,27 +252,25 @@ def _porter2(word):
 
     r1, r2 = _regions(word)
 
-    if apostrophe:
-        for suffix in ("'s'", "'s", "'"):
-            if word.endswith(suffix):
-                word, r1, r2 = _cut(word, r1, r2, len(suffix))
-                break
+    suffix = _longest(word, ("'s'", "'s", "'"))
+    if suffix:
+        word, r1, r2 = _edit(word, r1, r2, len(suffix))
 
     word, r1, r2 = _step1a(word, r1, r2)
     word, r1, r2 = _step1b(word, r1, r2)
     word, r1, r2 = _step1c(word, r1, r2)
-    word, r1, r2 = _step2(word, r1, r2)
-    word, r1, r2 = _step3(word, r1, r2)
-    word, r1, r2 = _step4(word, r1, r2)
+    word, r1, r2 = _step(word, r1, r2, _STEP2)
+    word, r1, r2 = _step(word, r1, r2, _STEP3)
+    word, r1, r2 = _step(word, r1, r2, _STEP4)
     word = _step5(word, r1, r2)
     return word.replace("Y", "y")
 
 
 def stem(token: str) -> str:
-    """Return the English stem of a lowercase token.
+    """Return the English stem of `token`, which is lowercased first.
 
     Tokens containing a digit (chemical formulas, "21st") and tokens
-    with non-ASCII characters are passed through unchanged.
+    with non-ASCII characters are passed through unchanged, case and all.
     """
     if not token.isascii() or _DIGIT(token):
         return token
