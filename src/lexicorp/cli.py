@@ -18,7 +18,8 @@ import click
 
 from . import dictionary, ingest, lexstats, listcompare
 from .atomic import atomic_open
-from .config import InputError, PipelineConfig, default_config, dump_config, load_config
+from .config import (PRUNE_THRESHOLD, InputError, PipelineConfig, default_config, dump_config,
+                     load_config)
 from .dictionary import DictionaryFormatError
 from .manifest import RunManifest
 from .pipeline import process_document
@@ -40,7 +41,7 @@ def _threshold(threshold: int | None) -> int:
     """--threshold or its default, checked before any file is read."""
     if threshold is not None and threshold < 0:
         raise click.UsageError("--threshold must be non-negative")
-    return default_config().prune_threshold if threshold is None else threshold
+    return PRUNE_THRESHOLD if threshold is None else threshold
 
 
 def _fmt_pct(fraction: float) -> str:

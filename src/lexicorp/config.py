@@ -28,6 +28,8 @@ CANONICAL_STEP_ORDER = (
 )
 
 CONFIG_DIR_ENV = "LEXICORP_CONFIG_DIR"
+# The default of `prune --threshold`, hashed into config_hash().
+PRUNE_THRESHOLD = 10
 
 class InputError(ValueError):
     """An input file that is readable but unusable (CLI exit code 2)."""
@@ -51,7 +53,6 @@ class PipelineConfig:
     headings: tuple[str, ...] = tables.SECTION_HEADINGS
     min_len: int = 30
     max_len: int = 500
-    prune_threshold: int = 10
 
     def __post_init__(self):
         if not self.prefixes:
@@ -87,7 +88,7 @@ class PipelineConfig:
         h.update(b"\x00stopwords\x00" + "\n".join(sorted(self.stop_words)).encode())
         h.update(b"\x00headings\x00" + "\n".join(sorted(self.headings)).encode())
         h.update(f"\x00bounds\x00{self.min_len}\x00{self.max_len}".encode())
-        h.update(f"\x00threshold\x00{self.prune_threshold}".encode())
+        h.update(f"\x00threshold\x00{PRUNE_THRESHOLD}".encode())
         h.update(b"\x00steps\x00" + "\n".join(CANONICAL_STEP_ORDER).encode())
         return h.hexdigest()[:12]
 
@@ -105,7 +106,7 @@ def default_config() -> PipelineConfig:
 
 def _read_lines(path: Path) -> list[str]:
     out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             out.append(line)
@@ -130,10 +131,10 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
 
     Missing files fall back to the built-in tables; `directory=None`
     consults the LEXICORP_CONFIG_DIR environment variable and finally the
-    defaults. Keyword overrides (min_len, max_len, prune_threshold) are
-    applied on top. The order of the pipeline steps is fixed
-    (CANONICAL_STEP_ORDER); steps 3-8 run once per distinct token. A
-    table file that fails its check raises InputError naming the file.
+    defaults. Keyword overrides (min_len, max_len) are applied on top.
+    The order of the pipeline steps is fixed (CANONICAL_STEP_ORDER);
+    steps 3-8 run once per distinct token. A table file may start with a
+    UTF-8 BOM; one that fails its check raises InputError naming the file.
     """
     if directory is None:
         directory = os.environ.get(CONFIG_DIR_ENV)

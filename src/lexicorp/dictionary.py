@@ -9,7 +9,8 @@ once toward its document count.
 A `Dictionary` is made in three places only, each of which hands its
 constructor columns already in canonical order: `build` counts tokens,
 `prune` keeps a prefix of a dictionary, and `load` reads a dictionary
-file, checked in bulk with a line number for the first bad row.
+file: in bulk for rows as `serialize` writes them, row by row for any
+other, with a line number for the first bad row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, NoReturn
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -35,8 +36,6 @@ _CHUNK_CHARS = 1 << 17
 # Characters of words, rounded up to whole rows, `serialize` writes at once.
 _CHARS_PER_WRITE = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
-# The newline that ends a blank line: at the start, or after a newline.
-_BLANK_LINE_RE = re.compile(r"(?<![^\n])\n")
 # What no word of a dictionary file may hold.
 _BREAK_RE = re.compile(r"[\t\n\r]")
 
@@ -173,51 +172,54 @@ def serialize(d: Dictionary, stream: IO[str]) -> None:
         start, i = end + 1, j
 
 
-def _raise_first_error(lines: list[str], line_no: int, seen: set[str]) -> NoReturn:
-    """Raise the error of the first bad row of `lines`, the first of them
-    line `line_no`, where `seen` holds the words of the rows before them."""
-    for line_no, line in enumerate(lines, line_no):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise DictionaryFormatError(line_no, f"expected 3 columns, got {len(cells)}")
-        word, doc_s, corpus_s = cells
-        try:
-            # int() ignores surrounding whitespace, a trailing "\r" included.
-            doc_count, corpus_count = int(doc_s), int(corpus_s)
-        except ValueError:
-            raise DictionaryFormatError(line_no, f"non-integer count in {line!r}") from None
-        if not word or doc_count < 1 or corpus_count < doc_count:
-            raise DictionaryFormatError(line_no, f"invalid entry {line!r}")
-        if corpus_count > _INT64_MAX:
-            raise DictionaryFormatError(line_no, f"count out of range (above 2**63 - 1) in {line!r}")
-        if word in seen:
-            raise DictionaryFormatError(line_no, f"duplicate word {word!r}")
-        seen.add(word)
-    raise AssertionError("a chunk failed the bulk checks but holds no bad row")
+def _parse_lines(chunk: str, line_no: int):
+    """Read `chunk`, whole lines each ending in "\\n", the first of them
+    line `line_no`, row by row up to its first bad row, with the counts read
+    by the rules of int(). Returns the (text, doc, corpus) columns of the
+    rows before that row, the numbers of the blank lines before it, which
+    are skipped, and its error, or None if no row is bad. Repeated words
+    are not checked here."""
+    words, counts, blank_lines, error = [], [], [], None
+    try:
+        for line_no, line in enumerate(chunk.split("\n")[:-1], line_no):
+            if not line:
+                blank_lines.append(line_no)
+                continue
+            cells = line.split("\t")
+            if len(cells) != 3:
+                raise DictionaryFormatError(line_no, f"expected 3 columns, got {len(cells)}")
+            word, doc_s, corpus_s = cells
+            try:
+                # int() ignores surrounding whitespace, a trailing "\r" included.
+                doc_count, corpus_count = int(doc_s), int(corpus_s)
+            except ValueError:
+                raise DictionaryFormatError(line_no, f"non-integer count in {line!r}") from None
+            if not word or doc_count < 1 or corpus_count < doc_count:
+                raise DictionaryFormatError(line_no, f"invalid entry {line!r}")
+            if corpus_count > _INT64_MAX:
+                raise DictionaryFormatError(line_no, f"count out of range (above 2**63 - 1) in {line!r}")
+            words.append(word)
+            counts.append((doc_count, corpus_count))
+    except DictionaryFormatError as e:
+        error = e
+    doc, corpus = np.array(counts, np.int64).reshape(-1, 2).T
+    return ("\n".join(words), doc, corpus), blank_lines, error
 
 
 def _parse_chunk(chunk: str):
     """The (text, doc, corpus) columns of `chunk`, whole lines each ending
-    in "\\n", if every line is a well formed row or blank; else None.
-    `text` holds the words joined by "\\n". Repeated words are not checked
-    here.
-
-    The cells are found in the chunk's UTF-8 bytes, and the words decoded
-    from them in one call. When every count cell of the chunk is 1 to 18
-    ASCII digits, the counts are parsed from the bytes too; a chunk with
-    any other count cell parses its counts by the rules of int().
-    """
+    in "\\n", if every line is a row as `serialize` writes it: a word that
+    is not empty, then two counts of 1 to 18 ASCII digits with 1 <= doc <=
+    corpus; else None. `text` holds the words joined by "\\n"; repeats are
+    not checked. The counts are read from the chunk's UTF-8 bytes by
+    `_digit_counts`, and the words decoded from them in one call."""
     code = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
     # UTF-8 keeps "\t" and "\n" as single bytes found nowhere else, so
     # every line holds three cells exactly when the tabs and newlines come
-    # as tab, tab, newline throughout; row i's are then at seps[i].
+    # as tab, tab, newline throughout (a blank line breaks that pattern);
+    # row i's are then at seps[i].
     seps = np.flatnonzero((code == 9) | (code == 10))
     if len(seps) % 3 or (code[seps].reshape(-1, 3) != (9, 9, 10)).any():
-        # A blank line breaks that pattern too.
-        if chunk.startswith("\n") or "\n\n" in chunk:
-            return _parse_chunk(_BLANK_LINE_RE.sub("", chunk))
         return None
     seps = seps.reshape(-1, 3)
     # Each row's word, with the newline before it (byte -1 for the first
@@ -226,18 +228,9 @@ def _parse_chunk(chunk: str):
     if (spans[::2] == 1).any():  # a newline, then a tab: an empty word
         return None
     counts = _digit_counts(code, seps)
-    if counts is None:
-        cells = chunk.replace("\n", "\t").split("\t")
-        try:
-            # numpy parses each string by the rules of int(), and raises
-            # OverflowError for a value outside int64.
-            counts = np.array([cells[1::3], cells[2::3]], dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
-        del cells
-    doc, corpus = counts
-    if not ((doc >= 1).all() and (corpus >= doc).all()):
+    if counts is None or not ((counts[0] >= 1).all() and (counts[1] >= counts[0]).all()):
         return None
+    doc, corpus = counts
     keep = np.repeat(np.tile((True, False), len(seps)), spans)[1:]
     del seps, spans
     return str(code[:-1][keep], "utf-8", "surrogatepass"), doc, corpus
@@ -306,9 +299,11 @@ def _read_body(stream: IO[str]):
     """The (text, doc, corpus) columns of the rows after the header line,
     sorted into canonical order if they are not in it.
 
-    Repeats are looked for once, by one sort of the hashes of all words:
-    at the end, or before reporting the first bad row of a chunk that
-    fails, since a repeat in an earlier chunk comes before it.
+    Each chunk is read by `_parse_chunk` or, if that refuses it, by
+    `_parse_lines`; the rows either reads are appended alike. Repeats are
+    looked for once, by one sort of the hashes of all words: at the end,
+    or at the first bad row, before its error is raised, since a repeat
+    before it comes first.
     """
     texts: list[str] = []
     docs: list[np.ndarray] = [np.zeros(0, np.int64)]
@@ -321,21 +316,18 @@ def _read_body(stream: IO[str]):
     blank_lines: list[int] = []  # the numbers of the blank lines, for a repeat's line number
     last = ([], docs[0], corpora[0])  # the last row so far, as columns
     in_order = True
-    line_no = 2
-    while chunk := stream.read(_CHUNK_CHARS):
+    line_no, error = 2, None
+    while error is None and (chunk := stream.read(_CHUNK_CHARS)):
         if not chunk.endswith("\n"):
             chunk += stream.readline()
             if not chunk.endswith("\n"):  # the last line, without its newline
                 chunk += "\n"
         parsed = _parse_chunk(chunk)
         if parsed is None:
-            _raise_first_repeat(texts, hashes[:rows], blank_lines)
-            _raise_first_error(chunk.split("\n")[:-1], line_no, set("\n".join(texts).split("\n")))
+            parsed, blanks, error = _parse_lines(chunk, line_no)
+            blank_lines += blanks
         text, doc, corpus = parsed
-        lines = chunk.count("\n")
-        if len(doc) < lines:  # blank lines
-            blank_lines += [n for n, line in enumerate(chunk.split("\n")[:-1], line_no) if not line]
-        line_no += lines
+        line_no += chunk.count("\n")
         if not len(doc):
             continue
         words = text.split("\n")
@@ -350,6 +342,8 @@ def _read_body(stream: IO[str]):
         docs.append(doc)
         corpora.append(corpus)
     _raise_first_repeat(texts, hashes[:rows], blank_lines)
+    if error is not None:
+        raise error
     del hashes  # joining the columns while they were held raised peak RSS by 3 MiB
     columns = "\n".join(texts), np.concatenate(docs), np.concatenate(corpora)
     return columns if in_order else _canonical(columns[0].split("\n"), *columns[1:])
@@ -371,13 +365,13 @@ def _in_canonical_order(words: list[str], doc: np.ndarray, corpus: np.ndarray) -
 def deserialize(stream: IO[str]) -> Dictionary:
     """Read a dictionary file; malformed content fails with its line number.
 
-    The body is read in chunks and each chunk is checked in bulk; a chunk
-    that fails any check holds a bad row, and a row loop only finds the
-    first one and reports it. A repeated word is found by one sort of the
-    hashes of all words, at the end or before a failed chunk is looked
-    into. Rows in canonical order, as `serialize` writes them, are kept as
-    read; rows in any other order are sorted. Counts must fit in a signed
-    64-bit integer.
+    The body is read in chunks. A chunk of rows as `serialize` writes
+    them is read in bulk from its bytes; any other chunk is read row by
+    row by the rules of int(), which skips blank lines and stops at the
+    first bad row. A repeated word is found by one sort of the hashes of
+    all words, at the end or at the first bad row. Rows in canonical
+    order, as `serialize` writes them, are kept as read; rows in any other
+    order are sorted. Counts must fit in a signed 64-bit integer.
     """
     header = stream.readline()
     if not header:
@@ -393,7 +387,8 @@ def deserialize(stream: IO[str]) -> Dictionary:
 
 
 def load(path) -> Dictionary:
-    with open(path, encoding="utf-8") as f:
+    """Read the dictionary file at `path`, which may start with a UTF-8 BOM."""
+    with open(path, encoding="utf-8-sig") as f:
         return deserialize(f)
 
 

@@ -14,12 +14,21 @@ against:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from lexicorp.dictionary import _BLANK_LINE_RE, _HEADER_RE, DictionaryFormatError, Provenance
+from lexicorp.dictionary import DictionaryFormatError, Provenance
+
+# The header line and a blank line's newline (at the start, or after a
+# newline), copied here so that the reader checks the header regex of
+# lexicorp.dictionary instead of sharing it.
+_HEADER_RE = re.compile(
+    r"#lexicorp-dict v1 threshold=(\d+) config=(\S*)(?: corpus=(\S*))?\s*$"
+)
+_BLANK_LINE_RE = re.compile(r"(?<![^\n])\n")
 
 
 @dataclass(frozen=True)

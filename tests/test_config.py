@@ -1,5 +1,6 @@
 import pytest
 
+from lexicorp import ingest
 from lexicorp import pipeline as pl
 from lexicorp.config import (
     CONFIG_DIR_ENV,
@@ -63,14 +64,24 @@ def test_malformed_substitution_line(tmp_path):
 
 def test_hash_changes_with_content(tmp_path):
     base = default_config()
-    changed = PipelineConfig(prune_threshold=11)
+    changed = PipelineConfig(min_len=31)
     assert base.config_hash() != changed.config_hash()
     assert base.config_hash() == PipelineConfig().config_hash()
 
 
 def test_overrides_apply(tmp_path):
-    cfg = load_config(None, min_len=5, max_len=50, prune_threshold=3)
-    assert (cfg.min_len, cfg.max_len, cfg.prune_threshold) == (5, 50, 3)
+    cfg = load_config(None, min_len=5, max_len=50)
+    assert (cfg.min_len, cfg.max_len) == (5, 50)
+
+
+def test_table_file_may_start_with_a_bom(tmp_path):
+    (tmp_path / "headings.txt").write_bytes("\ufeffConclusion(s)\nResult(s)\n".encode("utf-8"))
+    cfg = load_config(tmp_path)
+    assert cfg.headings == ("Conclusion(s)", "Result(s)")
+    text = "ResultsWe found. ConclusionThe end."
+    assert ingest.split_concatenated_headings(text, cfg.heading_forms) == (
+        "Results We found. Conclusion The end.", 2)
+    assert cfg.config_hash() == "4475d743ebb2"
 
 
 def test_default_hash_is_pinned():

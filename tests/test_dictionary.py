@@ -426,11 +426,14 @@ def test_repeat_in_a_later_chunk_matches_reference(n_rows, chunk_chars, clash):
     assert got[:2] == ("error", n_rows - 8)
 
 
-@pytest.mark.parametrize("clash", [False, True])
-@pytest.mark.parametrize("body, line_no", [
+REPEAT_BEFORE_A_BAD_ROW = [
     ("a\t2\t2\nb\t1\t1\na\t1\t1\nc\t0\t1\n", 4),
     ("a\t2\t2\n\nb\t1\t1\n\n\na\t1\t1\n\nc\t1\n", 7),
-], ids=["rows", "blank-lines"])
+]
+
+
+@pytest.mark.parametrize("clash", [False, True])
+@pytest.mark.parametrize("body, line_no", REPEAT_BEFORE_A_BAD_ROW, ids=["rows", "blank-lines"])
 def test_repeat_wins_over_a_bad_row_after_it(body, line_no, clash):
     # In chunks of a line or so, the repeat comes in a chunk that passes
     # and the bad row in a later one, which fails.
@@ -441,6 +444,64 @@ def test_repeat_wins_over_a_bad_row_after_it(body, line_no, clash):
         with mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars), \
                 mock.patch.object(dct, "_word_hashes", _same_hash if clash else dct._word_hashes):
             assert _outcome(dct.deserialize, text, False) == want, chunk_chars
+
+
+# The same differential tests with the bulk path refusing every chunk, so
+# that the row loop alone reads every file as the reference does.
+
+def _row_loop_only():
+    return mock.patch.object(dct, "_parse_chunk", lambda chunk: None)
+
+
+@pytest.mark.parametrize("chunk_chars", [1 << 19, 7])
+def test_row_loop_alone_matches_reference(chunk_chars):
+    with _row_loop_only(), mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars):
+        test_deserialize_matches_reference()
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("body", BLANK_LINE_BODIES)
+def test_row_loop_alone_matches_reference_on_blank_lines(body, eol):
+    with _row_loop_only():
+        test_blank_lines_on_chunk_boundaries_match_reference(body, eol)
+        test_blank_lines_match_reference_with_every_hash_clashing(body, eol)
+
+
+@pytest.mark.parametrize("clash", [False, True])
+def test_row_loop_alone_finds_repeats_as_the_reference(clash):
+    with _row_loop_only():
+        for n_rows, chunk_chars in [(200, 64), (60_000, 1 << 19)]:
+            test_repeat_in_a_later_chunk_matches_reference(n_rows, chunk_chars, clash)
+        for body, line_no in REPEAT_BEFORE_A_BAD_ROW:
+            test_repeat_wins_over_a_bad_row_after_it(body, line_no, clash)
+
+
+# Every count below 10**18 has at most 18 digits, so every chunk of a
+# saved file is read in bulk, as the dictionaries of the analyse benchmark are.
+SAVED_WORD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                     min_size=1, max_size=4)
+SAVED_COUNTS = st.lists(st.integers(1, 10**18 - 1), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(SAVED_WORD, SAVED_COUNTS), max_size=30, unique_by=lambda r: r[0]),
+       st.sampled_from([1, 16, 1 << 17]))
+def test_load_of_a_saved_dictionary_never_runs_the_row_loop(rows, chunk_chars):
+    d = dictionary_of([(w, doc, corpus) for w, (doc, corpus) in rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.tsv")
+        dct.save(d, path)
+        with mock.patch.object(dct, "_parse_lines", wraps=dct._parse_lines) as row_loop, \
+                mock.patch.object(dct, "_CHUNK_CHARS", chunk_chars):
+            assert dct.load(path) == d
+    assert row_loop.call_count == 0
+
+
+def test_load_drops_a_leading_bom(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_bytes("\ufeff#lexicorp-dict v1 threshold=3 config=c\na\t5\t7\n".encode("utf-8"))
+    d = dct.load(path)
+    assert rows_of(d) == [("a", 5, 7)] and d.provenance == Provenance("", "c", 3)
 
 
 def test_save_refuses_a_word_load_would_split(tmp_path):
@@ -512,10 +573,21 @@ def _parsed(parse, chunk):
     return got, any(byte_parses)
 
 
+def _row_loop(chunk):
+    """The columns `dictionary._parse_lines` reads from `chunk` if it holds
+    no bad row, else None."""
+    columns, _, error = dct._parse_lines(chunk, 2)
+    return None if error else columns
+
+
 @settings(max_examples=1500, deadline=None)
 @given(chunks())
 def test_parse_chunk_matches_reference(chunk):
-    assert _parsed(dct._parse_chunk, chunk)[0] == _parsed(ref.parse_chunk, chunk)[0]
+    # The bulk path reads a subset of the chunks the reference reads, and
+    # the row loop reads all of them.
+    want = _parsed(ref.parse_chunk, chunk)[0]
+    assert _parsed(dct._parse_chunk, chunk)[0] in (None, want)
+    assert _parsed(_row_loop, chunk)[0] == want
 
 
 def test_parse_chunk_reads_a_saved_file_from_its_bytes():
@@ -531,9 +603,9 @@ def test_parse_chunk_reads_a_saved_file_from_its_bytes():
 
 def test_parse_chunk_reads_a_chunk_with_one_signed_count_by_int_rules():
     chunk = "a\t3\t4\nb\t+5\t5\nc\t1\t1\n"
-    got, byte_parse = _parsed(dct._parse_chunk, chunk)
-    assert not byte_parse
-    assert got == _parsed(ref.parse_chunk, chunk)[0] == (["a", "b", "c"], [3, 5, 1], [4, 5, 1])
+    assert dct._parse_chunk(chunk) is None
+    assert _parsed(_row_loop, chunk)[0] == _parsed(ref.parse_chunk, chunk)[0] == (
+        ["a", "b", "c"], [3, 5, 1], [4, 5, 1])
 
 
 def test_count_above_int64_is_a_format_error():
