@@ -1,6 +1,8 @@
 """lexicorp: corpus cleaning, document-frequency dictionaries, heavy-tail
 statistics and word-list comparison for collections of scientific abstracts."""
 
+__version__ = "0.1.0"
+
 from .config import PipelineConfig, default_config, load_config
 from .dictionary import Dictionary, build, prune
 from .ingest import IngestReport, RawRecord, run_ingest

@@ -71,6 +71,10 @@ class PipelineConfig:
         for w in self.stop_words:
             if w != w.lower():
                 raise ValueError(f"stop word not lowercase: {w!r}")
+        # An empty form would split the text before every capital letter.
+        for h in self.headings:
+            if "" in tables.expand_headings([h]):
+                raise ValueError(f"heading entry expands to an empty form: {h!r}")
         if self.min_len > self.max_len:
             raise ValueError("min_len must not exceed max_len")
 

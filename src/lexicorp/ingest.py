@@ -147,10 +147,23 @@ def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[RawRecord | Parse
 
 
 @lru_cache(maxsize=16)
-def _heading_re(forms: tuple[str, ...]) -> re.Pattern:
+def _heading_rules(forms: tuple[str, ...]) -> tuple[bytes | None, re.Pattern]:
+    """The byte gate and the split pattern of a tuple of heading forms.
+
+    The gate maps ASCII capitals to "A", the last character of each form
+    to "a" and every other byte to a space, so a text whose UTF-8 bytes
+    translate to no b"aA" holds no form followed by a capital. It is None
+    when a form is empty or ends in a non-ASCII character or a capital.
+    """
     ordered = sorted(forms, key=len, reverse=True)
     alternation = "|".join(re.escape(f) for f in ordered)
-    return re.compile(rf"({alternation})(?=[A-Z])")
+    pattern = re.compile(rf"({alternation})(?=[A-Z])")
+    lasts = {f[-1:] for f in forms}
+    if not all(c and c.isascii() and not "A" <= c <= "Z" for c in lasts):
+        return None, pattern
+    gate = "".join("A" if "A" <= c <= "Z" else "a" if c in lasts else " "
+                   for c in map(chr, range(256)))
+    return gate.encode("latin-1"), pattern
 
 
 def split_concatenated_headings(text: str, headings) -> tuple[str, int]:
@@ -159,14 +172,35 @@ def split_concatenated_headings(text: str, headings) -> tuple[str, int]:
     `headings` are the expanded surface forms ("Conclusion",
     "Conclusions", ...); the longest matching form wins, so
     "ConclusionsRT" becomes "Conclusions RT". Returns the corrected text
-    and the number of splits.
+    and the number of splits. With no forms nothing is split. A text
+    whose bytes hold no form's last letter followed by a capital skips
+    the regular expression.
     """
-    return _heading_re(tuple(headings)).subn(r"\1 ", text)
+    forms = tuple(headings)
+    if not forms:
+        return text, 0
+    gate, pattern = _heading_rules(forms)
+    if gate is not None and b"aA" not in text.encode("utf-8", "surrogatepass").translate(gate):
+        return text, 0
+    return pattern.subn(r"\1 ", text)
+
+
+# ASCII whitespace, as str.split() splits on it ("\x1c"-"\x1f" included),
+# to a space; every other byte to "x".
+_WORD_MARKS = "".join(" " if c.isascii() and c.isspace() else "x"
+                      for c in map(chr, range(256))).encode("latin-1")
 
 
 def word_count(text: str) -> int:
-    """Number of maximal non-whitespace runs in `text`."""
-    return len(text.split())
+    """Number of maximal non-whitespace runs in `text`, as `len(text.split())`.
+
+    An ASCII text is counted on its bytes: one word starts at each
+    non-space byte that begins the text or follows a space.
+    """
+    if not text.isascii():
+        return len(text.split())
+    marks = text.encode("ascii").translate(_WORD_MARKS)
+    return marks.count(b" x") + marks.startswith(b"x")
 
 
 def run_ingest(

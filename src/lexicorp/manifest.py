@@ -11,16 +11,9 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-from importlib import metadata
 
+from . import __version__
 from .atomic import atomic_open
-
-
-def tool_version() -> str:
-    try:
-        return metadata.version("lexicorp")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def file_digest(path) -> str:
@@ -50,7 +43,7 @@ class RunManifest:
             "inputs": self.inputs,
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "tool_version": tool_version(),
+            "tool_version": __version__,
             "started": self.started,
             "finished": self.finished,
         }

@@ -2,30 +2,45 @@
 loop: `parse_records` returns the list of every record plus an error
 list, and `run_ingest` runs the field filter, the heading split and the
 length filter as separate passes, each building a full list of
-`Document`s, which `length_histogram` then walks once more. Kept as the
-oracle that tests/test_ingest.py checks the streaming `run_ingest`
+`Document`s, which `length_histogram` then walks once more. The heading
+split runs its regular expression on every text and the word count
+splits every text. Kept as the oracle that tests/test_ingest.py checks
+the streaming `run_ingest`, the heading gate and the byte word count
 against.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 from lexicorp.config import InputError, PipelineConfig, default_config
-from lexicorp.ingest import (
-    _INT_FIELDS,
-    _LIST_FIELDS,
-    IngestReport,
-    ParseError,
-    RawRecord,
-    _resolve_header,
-    split_concatenated_headings,
-    word_count,
-)
+from lexicorp.ingest import IngestReport, ParseError, RawRecord, _resolve_header
 
 logger = logging.getLogger(__name__)
+
+_LIST_FIELDS = {"authors", "categories", "research_areas"}
+_INT_FIELDS = {"total_times_cited", "times_cited_core"}
+
+
+def split_concatenated_headings(text: str, headings) -> tuple[str, int]:
+    """The regular-expression split, run on every text.
+
+    With no forms nothing is split; the old code compiled "()(?=[A-Z])"
+    there and split before every capital letter.
+    """
+    forms = tuple(headings)
+    if not forms:
+        return text, 0
+    ordered = sorted(forms, key=len, reverse=True)
+    alternation = "|".join(re.escape(f) for f in ordered)
+    return re.compile(rf"({alternation})(?=[A-Z])").subn(r"\1 ", text)
+
+
+def word_count(text: str) -> int:
+    return len(text.split())
 
 
 @dataclass

@@ -67,6 +67,25 @@ class TestIngest:
         assert ((tmp_path / "bom" / "corpus.tsv").read_bytes()
                 == (tmp_path / "plain" / "corpus.tsv").read_bytes())
 
+    def test_crlf_and_lone_cr_export_pins_error_lines(self, tmp_path):
+        good = "A\tT\t" + "word " * 40 + "\tP\tS\t0\t0"
+        lines = ["AU\tTI\tAB\tWC\tSC\tZ9\tTC", good, "short\trow", good, "",
+                 "A\tT\tx\tP\tS\tmany\t0", good, "bad"]
+        mixed, plain = tmp_path / "mixed.tsv", tmp_path / "plain.tsv"
+        eols = ["\r\n", "\r", "\r\n", "\n", "\r", "\r\n", "\r", ""]
+        mixed.write_bytes("".join(map(str.__add__, lines, eols)).encode("utf-8"))
+        plain.write_bytes("\n".join(lines).encode("utf-8"))
+        for src in (mixed, plain):
+            out = tmp_path / src.stem
+            assert main(["ingest", str(src), "--out", str(out)]) == 0
+            assert read(out / "ingest_errors.log") == (
+                "line 3\texpected 7 columns, got 2\n"
+                "line 6\tnon-integer value 'many' in column total_times_cited\n"
+                "line 8\texpected 7 columns, got 1\n")
+            assert "n_parsed\t3\n" in read(out / "ingest_report.tsv")
+        assert ((tmp_path / "mixed" / "corpus.tsv").read_bytes()
+                == (tmp_path / "plain" / "corpus.tsv").read_bytes())
+
     @pytest.mark.parametrize("header", ["AU\tTI\tAB\tWC\tSC\tZ9", "X\tY\tZ\tW\tV\tU\tT"])
     def test_bad_header_is_input_error(self, tmp_path, header, capsys):
         src = tmp_path / "bad.tsv"

@@ -84,6 +84,20 @@ def test_table_file_may_start_with_a_bom(tmp_path):
     assert cfg.config_hash() == "4475d743ebb2"
 
 
+def test_empty_headings_file_turns_the_split_off(tmp_path):
+    (tmp_path / "headings.txt").write_text("# no headings\n", encoding="utf-8")
+    cfg = load_config(tmp_path)
+    assert cfg.heading_forms == ()
+    text = "Results We found DNA in São Paulo."
+    assert ingest.split_concatenated_headings(text, cfg.heading_forms) == (text, 0)
+
+
+@pytest.mark.parametrize("entry", ["", "(s)"])
+def test_heading_entry_with_an_empty_form_is_refused(entry):
+    with pytest.raises(ValueError, match="expands to an empty form"):
+        PipelineConfig(headings=("Result(s)", entry))
+
+
 def test_default_hash_is_pinned():
     # Dictionary headers carry this hash; it must not drift.
     assert default_config().config_hash() == "29990439226b"
@@ -97,6 +111,7 @@ def test_default_hash_is_pinned():
     ("stopwords.txt", "The\n", "not lowercase"),
     ("prefixes.txt", "anti\nanti-self\n", "not all letters and digits"),
     ("substitutions.tsv", "z-score\u0307\tzscore\n", "other than letters, digits and '-'"),
+    ("headings.txt", "Result(s)\n(s)\n", "expands to an empty form: '\\(s\\)'"),
 ])
 def test_bad_table_is_input_error_naming_the_file(tmp_path, name, content, message):
     # A substitution key without "-" must be refused: the token memo passes

@@ -189,6 +189,16 @@ class TestSplitHeadings:
         assert got == "Implications for health and nursing policy The findings"
         assert n == 1
 
+    @pytest.mark.parametrize("forms,text,expected", [
+        (("AimB",), "AimBX and AimBy", ("AimB X and AimBy", 1)),
+        (("Résumé",), "RésuméThe résuméThe", ("Résumé The résuméThe", 1)),
+        (("Aim", ""), "AimB", ("Aim  B", 2)),
+    ])
+    def test_forms_without_a_gate_run_the_regex(self, forms, text, expected):
+        # A form that ends in a capital or a non-ASCII letter, or is empty.
+        assert ingest._heading_rules(forms)[0] is None
+        assert ingest.split_concatenated_headings(text, forms) == expected
+
     def test_idempotent(self):
         once, _ = ingest.split_concatenated_headings("BackgroundTau AimsB", FORMS)
         again, n = ingest.split_concatenated_headings(once, FORMS)
@@ -205,6 +215,38 @@ class TestWordCount:
     ])
     def test_counts(self, text, expected):
         assert ingest.word_count(text) == expected
+
+
+ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+# Capitals, letters that end forms, every ASCII whitespace character,
+# Unicode spaces, non-ASCII letters and lone surrogates.
+TEXT_CHARS = "ABZaesx." + ASCII_SPACE + "\x85\xa0\u3000" + "éΣß" + "\ud800\udfff"
+# Forms may end in a capital or a non-ASCII letter, or be empty.
+FORM_TUPLES = st.one_of(
+    st.just(FORMS),
+    st.lists(st.text(st.sampled_from("AZaes.éΣ "), max_size=4), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    text=st.lists(st.one_of(st.text(st.sampled_from(TEXT_CHARS), max_size=4),
+                            st.sampled_from(FORMS)), max_size=8).map("".join),
+    forms=FORM_TUPLES,
+)
+def test_gated_split_matches_the_regex_split(text, forms):
+    assert (ingest.split_concatenated_headings(text, forms)
+            == reference.split_concatenated_headings(text, forms))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(
+    st.text(st.characters(max_codepoint=127)),
+    st.text(st.sampled_from(ASCII_SPACE + "ab")),
+    st.text(st.sampled_from(TEXT_CHARS)),
+))
+def test_word_count_matches_split(text):
+    assert ingest.word_count(text) == reference.word_count(text)
 
 
 class TestFilterByLength:
