@@ -98,6 +98,8 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
         _write_lines(out / "ingest_errors.log", (f"line {e.line_no}\t{e.reason}" for e in errors))
         click.echo(f"warning: {len(errors)} malformed row(s) skipped, "
                    f"see {out / 'ingest_errors.log'}", err=True)
+    else:  # A log from an earlier run into the same --out would be stale.
+        (out / "ingest_errors.log").unlink(missing_ok=True)
     manifest.write(out / "manifest.json")
     click.echo(f"{report.n_after_length_filter} documents written to {out / 'corpus.tsv'}")
 
@@ -115,14 +117,14 @@ def cmd_build(corpus_path, config_dir, out_path):
     empty_docs = []
 
     def token_lists(records):
-        for i, r in enumerate(records, 1):
-            if isinstance(r, ingest.ParseError):
-                raise DictionaryFormatError(r.line_no, f"malformed corpus file: {r.reason}")
-            tokens = process_document(r.abstract, cfg)
+        for i, cells in enumerate(records, 1):
+            if isinstance(cells, ingest.ParseError):
+                raise DictionaryFormatError(cells.line_no, f"malformed corpus file: {cells.reason}")
+            tokens = process_document(cells[ingest.ABSTRACT], cfg)
             if tokens:
                 yield f"doc{i}", tokens
             else:
-                empty_docs.append((i, r.title))
+                empty_docs.append((i, cells[ingest.TITLE]))
 
     with open(corpus_path, encoding="utf-8") as f:
         d = dictionary.build(token_lists(ingest.parse_records(f)),
@@ -130,10 +132,13 @@ def cmd_build(corpus_path, config_dir, out_path):
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     dictionary.save(d, out)
+    skipped = Path(str(out) + ".skipped.log")
     if empty_docs:
-        _write_lines(str(out) + ".skipped.log", (f"record {i}\tno tokens after processing\t{title}"
-                                                 for i, title in empty_docs))
+        _write_lines(skipped, (f"record {i}\tno tokens after processing\t{title}"
+                               for i, title in empty_docs))
         click.echo(f"warning: {len(empty_docs)} document(s) produced no tokens", err=True)
+    else:
+        skipped.unlink(missing_ok=True)
     manifest.write(str(out) + ".manifest.json")
     click.echo(f"{len(d)} words written to {out}")
 
@@ -330,18 +335,12 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
     manifest = RunManifest(sys.argv[1:] or ["gen"], seed=seed)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    records = (
-        ingest.RawRecord(
-            authors=["Synthetic, A"],
-            title=f"Synthetic document {doc_id}",
-            abstract=" ".join(tokens),
-            categories=["Synthetic"],
-            research_areas=["Synthetic"],
-        )
-        for doc_id, tokens in lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len)
-    )
+    rows = ([
+        "Synthetic, A", f"Synthetic document {doc_id}", " ".join(tokens),
+        "Synthetic", "Synthetic", "0", "0",
+    ] for doc_id, tokens in lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len))
     with atomic_open(out) as f:
-        ingest.write_corpus(records, f)
+        ingest.write_corpus(rows, f)
     manifest.write(str(out) + ".manifest.json")
     click.echo(f"{docs} synthetic documents written to {out}")
 

@@ -1,5 +1,11 @@
 """Parsing and cleaning of tab-delimited bibliographic record exports.
 
+An export and the corpus file that ingest writes share one grammar: a
+header line naming the columns, then one record per line as 7 cells in
+`FIELD_ORDER`. Each cell is stripped, a list cell ("A; B") is split on
+";", emptied of blanks and joined with "; ", and a count cell is written
+as `str(int(cell))`.
+
 Cleaning takes each record through four steps in one pass: parse its
 line, drop it when it has no abstract or no categories, split
 section-heading words that the export glued onto the following word
@@ -11,8 +17,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from .config import InputError, PipelineConfig, default_config
@@ -30,8 +37,11 @@ FIELD_ORDER = (
     "times_cited_core",
 )
 
-_LIST_FIELDS = {"authors", "categories", "research_areas"}
-_INT_FIELDS = {"total_times_cited", "times_cited_core"}
+# Positions in FIELD_ORDER: the cells that ingest and build read, and
+# the list cells (authors, categories, research areas).
+TITLE, ABSTRACT, CATEGORIES = 1, 2, 3
+_LIST_CELLS = (0, 3, 4)
+_COUNT_FIELDS = ("total_times_cited", "times_cited_core")
 
 # Accepted header spellings, lowercased.
 _HEADER_ALIASES = {
@@ -47,28 +57,9 @@ _HEADER_ALIASES = {
     "times_cited_core": "times_cited_core",
 }
 
-_CANONICAL_HEADER_NAMES = {
-    "authors": "Authors",
-    "title": "Title",
-    "abstract": "Abstract",
-    "categories": "Categories",
-    "research_areas": "Research Areas",
-    "total_times_cited": "Total Times Cited",
-    "times_cited_core": "Times Cited in CC",
-}
-
-
-@dataclass
-class RawRecord:
-    """One bibliographic record as parsed from an export line."""
-
-    authors: list[str] = field(default_factory=list)
-    title: str = ""
-    abstract: str = ""
-    categories: list[str] = field(default_factory=list)
-    research_areas: list[str] = field(default_factory=list)
-    total_times_cited: int = 0
-    times_cited_core: int = 0
+# The header line of a corpus file: FIELD_ORDER's full names.
+CORPUS_HEADER = ("Authors\tTitle\tAbstract\tCategories\tResearch Areas\t"
+                 "Total Times Cited\tTimes Cited in CC")
 
 
 @dataclass
@@ -97,15 +88,17 @@ def _resolve_header(cells: list[str]) -> dict[str, int]:
     return mapping
 
 
-def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[RawRecord | ParseError]:
-    """Yield each record of a tab-delimited export, in line order.
+def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[list[str] | ParseError]:
+    """Yield each record of a tab-delimited export as its 7 canonical cells.
 
     Line 1 is the header naming the columns (WoS field tags or full
     names); it is read on the first `next()`, which raises `InputError`
-    when it is missing or lacks a required column. A malformed line
-    (wrong column count, unparsable citation count) yields a
-    `ParseError` with its 1-based line number instead of a record; it is
-    never dropped silently.
+    when it is missing or lacks a required column. Each record is a list
+    of cells in `FIELD_ORDER`, normalised as the module docstring says.
+    A malformed line (wrong column count, a count cell that `int()`
+    refuses or that is negative; an empty one is 0) yields a `ParseError`
+    with its 1-based line number instead; it is never dropped silently.
+    Of two bad count cells, the one first in the header is reported.
     """
     lines = enumerate(stream, 1)
     first = next(lines, None)
@@ -115,6 +108,8 @@ def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[RawRecord | Parse
     cells = first[1].rstrip("\n").rstrip("\r").removeprefix("\ufeff").split("\t")
     columns = _resolve_header(cells)
     expected = len(cells)
+    pick = itemgetter(*(columns[f] for f in FIELD_ORDER))
+    counts = [(FIELD_ORDER.index(f), f) for f in sorted(_COUNT_FIELDS, key=columns.get)]
 
     for line_no, line in lines:
         line = line.rstrip("\n").rstrip("\r")
@@ -124,26 +119,22 @@ def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[RawRecord | Parse
         if len(cells) != expected:
             yield ParseError(line_no, f"expected {expected} columns, got {len(cells)}")
             continue
-        kwargs = {}
-        bad = None
-        for name, idx in columns.items():
-            value = cells[idx].strip()
-            if name in _LIST_FIELDS:
-                items = [v.strip() for v in value.split(";")]
-                kwargs[name] = [v for v in items if v]
-            elif name in _INT_FIELDS:
-                try:
-                    n = int(value) if value else 0
-                except ValueError:
-                    bad = f"non-integer value {value!r} in column {name}"
-                    break
-                if n < 0:
-                    bad = f"negative count {n} in column {name}"
-                    break
-                kwargs[name] = n
-            else:
-                kwargs[name] = value
-        yield RawRecord(**kwargs) if bad is None else ParseError(line_no, bad)
+        row = list(map(str.strip, pick(cells)))
+        for i in _LIST_CELLS:
+            if ";" in row[i]:
+                row[i] = "; ".join(filter(None, map(str.strip, row[i].split(";"))))
+        for i, name in counts:
+            try:
+                n = int(row[i] or 0)
+            except ValueError:
+                yield ParseError(line_no, f"non-integer value {row[i]!r} in column {name}")
+                break
+            if n < 0:
+                yield ParseError(line_no, f"negative count {n} in column {name}")
+                break
+            row[i] = str(n)
+        else:
+            yield row
 
 
 @lru_cache(maxsize=16)
@@ -223,26 +214,26 @@ def run_ingest(
     crowded: list[str] = []
     n_crowded = 0
 
-    def kept() -> Iterator[RawRecord]:
+    def kept() -> Iterator[list[str]]:
         nonlocal n_crowded
-        for r in parse_records(stream):
-            if isinstance(r, ParseError):
-                errors.append(r)
+        for cells in parse_records(stream):
+            if isinstance(cells, ParseError):
+                errors.append(cells)
                 continue
             report.n_parsed += 1
-            if not r.abstract.strip() or not r.categories:
+            if not cells[ABSTRACT] or not cells[CATEGORIES]:
                 continue
             report.n_after_field_filter += 1
-            if len(r.categories) > 6:
+            if cells[CATEGORIES].count(";") > 5:
                 n_crowded += 1
                 if len(crowded) < 5:
-                    crowded.append(r.title[:40])
-            r.abstract, n_splits = split_concatenated_headings(r.abstract, forms)
+                    crowded.append(cells[TITLE][:40])
+            cells[ABSTRACT], n_splits = split_concatenated_headings(cells[ABSTRACT], forms)
             report.n_headings_split += n_splits
-            n_words = word_count(r.abstract)
+            n_words = word_count(cells[ABSTRACT])
             if config.min_len <= n_words <= config.max_len:
                 lengths[n_words] = lengths.get(n_words, 0) + 1
-                yield r
+                yield cells
 
     report.n_after_length_filter = write_corpus(kept(), out)
     if n_crowded:
@@ -251,31 +242,16 @@ def run_ingest(
     return lengths, report, errors
 
 
-def format_record(record: RawRecord) -> str:
-    """One canonical corpus line (7 tab-separated columns)."""
-    sep = "; "
-    cells = [
-        sep.join(record.authors),
-        record.title,
-        record.abstract,
-        sep.join(record.categories),
-        sep.join(record.research_areas),
-        str(record.total_times_cited),
-        str(record.times_cited_core),
-    ]
-    return "\t".join(cells)
+def write_corpus(rows: Iterable[list[str]], stream: IO[str]) -> int:
+    """Write rows of canonical cells as a corpus file; returns the row count.
 
-
-def corpus_header() -> str:
-    return "\t".join(_CANONICAL_HEADER_NAMES[f] for f in FIELD_ORDER)
-
-
-def write_corpus(records: Iterable[RawRecord], stream: IO[str]) -> int:
-    """Write records as a canonical corpus file; returns the record count."""
-    stream.write(corpus_header() + "\n")
+    The cells are written as given, one tab-joined line per row, under
+    the canonical header.
+    """
+    stream.write(CORPUS_HEADER + "\n")
     n = 0
-    for r in records:
-        stream.write(format_record(r) + "\n")
+    for cells in rows:
+        stream.write("\t".join(cells) + "\n")
         n += 1
     return n
 

@@ -1,28 +1,64 @@
 """The ingest stages as they were before records streamed through one
-loop: `parse_records` returns the list of every record plus an error
-list, and `run_ingest` runs the field filter, the heading split and the
-length filter as separate passes, each building a full list of
-`Document`s, which `length_histogram` then walks once more. The heading
-split runs its regular expression on every text and the word count
-splits every text. Kept as the oracle that tests/test_ingest.py checks
-the streaming `run_ingest`, the heading gate and the byte word count
-against.
+loop and became lists of cells.
+
+`parse_records` yields a `RawRecord` (a kwargs dict per line) or a
+`ParseError`, and `format_record` writes a record back as a corpus line.
+`run_ingest` runs the field filter, the heading split and the length
+filter as separate passes, each building a full list of `Document`s,
+which `length_histogram` then walks once more. The heading split runs
+its regular expression on every text and the word count splits every
+text. `build_dictionary` is `lexicorp build`'s reading of a corpus file
+through `RawRecord`s. Kept as the oracle that tests/test_ingest.py and
+tests/test_cli.py check the streaming `run_ingest`, the cell reader,
+the heading gate, the byte word count and build's reader against.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import re
-from dataclasses import dataclass
-from typing import IO, Iterable
+from dataclasses import dataclass, field
+from typing import IO, Iterable, Iterator
 
+from lexicorp import dictionary
 from lexicorp.config import InputError, PipelineConfig, default_config
-from lexicorp.ingest import IngestReport, ParseError, RawRecord, _resolve_header
+from lexicorp.dictionary import DictionaryFormatError
+from lexicorp.ingest import IngestReport, ParseError, _resolve_header
+from lexicorp.pipeline import process_document
 
 logger = logging.getLogger(__name__)
 
 _LIST_FIELDS = {"authors", "categories", "research_areas"}
 _INT_FIELDS = {"total_times_cited", "times_cited_core"}
+
+
+@dataclass
+class RawRecord:
+    """One bibliographic record as parsed from an export line."""
+
+    authors: list[str] = field(default_factory=list)
+    title: str = ""
+    abstract: str = ""
+    categories: list[str] = field(default_factory=list)
+    research_areas: list[str] = field(default_factory=list)
+    total_times_cited: int = 0
+    times_cited_core: int = 0
+
+
+def format_record(record: RawRecord) -> str:
+    """One canonical corpus line (7 tab-separated columns)."""
+    sep = "; "
+    cells = [
+        sep.join(record.authors),
+        record.title,
+        record.abstract,
+        sep.join(record.categories),
+        sep.join(record.research_areas),
+        str(record.total_times_cited),
+        str(record.times_cited_core),
+    ]
+    return "\t".join(cells)
 
 
 def split_concatenated_headings(text: str, headings) -> tuple[str, int]:
@@ -61,9 +97,7 @@ def length_histogram(docs: list[Document]) -> tuple[dict[int, int], float | None
     return counts, mean
 
 
-def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], list[ParseError]]:
-    records: list[RawRecord] = []
-    errors: list[ParseError] = []
+def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[RawRecord | ParseError]:
     lines = enumerate(stream, 1)
     first = next(lines, None)
     if first is None:
@@ -78,7 +112,7 @@ def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], lis
             continue
         cells = line.split("\t")
         if len(cells) != expected:
-            errors.append(ParseError(line_no, f"expected {expected} columns, got {len(cells)}"))
+            yield ParseError(line_no, f"expected {expected} columns, got {len(cells)}")
             continue
         kwargs = {}
         bad = None
@@ -99,11 +133,7 @@ def parse_records(stream: Iterable[str] | IO[str]) -> tuple[list[RawRecord], lis
                 kwargs[name] = n
             else:
                 kwargs[name] = value
-        if bad is not None:
-            errors.append(ParseError(line_no, bad))
-            continue
-        records.append(RawRecord(**kwargs))
-    return records, errors
+        yield RawRecord(**kwargs) if bad is None else ParseError(line_no, bad)
 
 
 def filter_invalid(records: list[RawRecord]) -> list[RawRecord]:
@@ -129,7 +159,9 @@ def run_ingest(
     config: PipelineConfig | None = None,
 ) -> tuple[list[Document], IngestReport, list[ParseError]]:
     config = config or default_config()
-    records, errors = parse_records(stream)
+    records, errors = [], []
+    for r in parse_records(stream):
+        (errors if isinstance(r, ParseError) else records).append(r)
     report = IngestReport(n_parsed=len(records))
 
     valid = filter_invalid(records)
@@ -151,3 +183,31 @@ def run_ingest(
     docs = filter_by_length(docs, config.min_len, config.max_len)
     report.n_after_length_filter = len(docs)
     return docs, report, errors
+
+
+def build_dictionary(corpus_path, corpus_id: str, config: PipelineConfig) -> tuple[str, str | None]:
+    """The dictionary file text and the `.skipped.log` text (None when no
+    document is empty) that `lexicorp build` wrote for a corpus file.
+
+    Raises `DictionaryFormatError` at the first malformed line.
+    """
+    empty_docs = []
+
+    def token_lists(records):
+        for i, r in enumerate(records, 1):
+            if isinstance(r, ParseError):
+                raise DictionaryFormatError(r.line_no, f"malformed corpus file: {r.reason}")
+            tokens = process_document(r.abstract, config)
+            if tokens:
+                yield f"doc{i}", tokens
+            else:
+                empty_docs.append((i, r.title))
+
+    with open(corpus_path, encoding="utf-8") as f:
+        d = dictionary.build(token_lists(parse_records(f)),
+                             corpus_id=corpus_id, config_hash=config.config_hash())
+    text = io.StringIO()
+    dictionary.serialize(d, text)
+    skipped = "".join(f"record {i}\tno tokens after processing\t{title}\n"
+                      for i, title in empty_docs)
+    return text.getvalue(), skipped or None

@@ -1,12 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
+import ingest_reference as reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dictionary_of, rows_of
 from lexicorp import dictionary as dct
 from lexicorp.cli import main
+from lexicorp.config import InputError, default_config
+from lexicorp.ingest import _COUNT_FIELDS, _HEADER_ALIASES, CORPUS_HEADER
+from lexicorp.manifest import file_digest
 
 
 def read(path):
@@ -105,6 +114,20 @@ class TestIngest:
         assert main(["ingest", str(src), "--out", str(out)]) == 0
         assert "1 malformed row" in capsys.readouterr().err
         assert (out / "ingest_errors.log").exists()
+
+    def test_rerun_without_errors_removes_the_error_log(self, tmp_path):
+        good = "A\tT\t" + "word " * 40 + "\tP\tS\t0\t0\n"
+        bad, clean = tmp_path / "bad.tsv", tmp_path / "clean.tsv"
+        bad.write_text("AU\tTI\tAB\tWC\tSC\tZ9\tTC\n" + good + "short\trow\n" + good,
+                       encoding="utf-8")
+        clean.write_text("AU\tTI\tAB\tWC\tSC\tZ9\tTC\n" + good + good, encoding="utf-8")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["ingest", str(bad), "--out", str(out)]) == 0
+        assert read(out / "ingest_errors.log") == "line 3\texpected 7 columns, got 2\n"
+        assert main(["ingest", str(clean), "--out", str(out)]) == 0
+        assert main(["ingest", str(clean), "--out", str(fresh)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir()) == [
+            "corpus.tsv", "ingest_report.tsv", "lengths.csv", "manifest.json"]
 
 
     @pytest.mark.parametrize("command", ["ingest", "pipeline"])
@@ -234,6 +257,22 @@ class TestBuildAndPrune:
         d = dct.load(dict_path)
         assert d.words() == ["w1"]
 
+    def test_rerun_without_empty_documents_removes_the_skipped_log(self, tmp_path):
+        header = "AU\tTI\tAB\tWC\tSC\tZ9\tTC\n"
+        good = "A\tGood\t" + "w1 " * 30 + "\tP\tS\t0\t0\n"
+        empty, clean = tmp_path / "empty.tsv", tmp_path / "clean.tsv"
+        empty.write_text(header + "A\tEmpty\tthe and or\tP\tS\t0\t0\n" + good, encoding="utf-8")
+        clean.write_text(header + good, encoding="utf-8")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        dict_path, fresh_path = out / "d.tsv", fresh / "d.tsv"
+        assert main(["build", str(empty), "--out", str(dict_path)]) == 0
+        assert read(str(dict_path) + ".skipped.log") == "record 1\tno tokens after processing\tEmpty\n"
+        assert main(["build", str(clean), "--out", str(dict_path)]) == 0
+        assert main(["build", str(clean), "--out", str(fresh_path)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir()) == [
+            "d.tsv", "d.tsv.manifest.json"]
+        assert dict_path.read_bytes() == fresh_path.read_bytes()
+
     def test_prune_threshold_semantics(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
         rows = [(f"w{c}", c, c) for c in (12, 10, 3)]
@@ -279,6 +318,64 @@ class TestBuildAndPrune:
         assert main(["prune", str(bad), "--out", str(tmp_path / "p.tsv")]) == 2
         assert "line 2: count out of range" in capsys.readouterr().err
         assert not (tmp_path / "p.tsv").exists()
+
+
+def corpus_cells(name):
+    """Cells of one column of a corpus file, some malformed or not canonical."""
+    if name == "abstract":
+        return st.sampled_from(["", "w1 w2 w1", " alpha beta gamma ", "the and or",
+                                "Tau x-ray Ünïcode reductions", "ConclusionHigher tau"])
+    if name == "title":
+        return st.sampled_from(["", "T", " A title ", "Ünïcode title"])
+    if name in _COUNT_FIELDS:
+        return st.sampled_from(["0", "3", "", " 7 ", "+2", "\u0663"] * 4 + ["many", "-3"])
+    return st.sampled_from(["", "P", "Physics; Optics", " a ;; b "])
+
+
+@st.composite
+def corpus_files(draw):
+    """A corpus file: its header, rows and blank lines, a BOM or CRLF line ends."""
+    header = draw(st.sampled_from([CORPUS_HEADER, "AU\tTI\tAB\tWC\tSC\tZ9\tTC",
+                                   "AU\tTI\tAB\tWC\tSC\tTC\tZ9"]))
+    names = [_HEADER_ALIASES[c.lower()] for c in header.split("\t")]
+    lines = [header]
+    for kind in draw(st.lists(st.sampled_from(["row"] * 8 + ["blank", "short", "long", "bad"]),
+                              max_size=6)):
+        if kind == "row":
+            lines.append("\t".join(draw(corpus_cells(n)) for n in names))
+        elif kind == "bad":  # both counts malformed: the first in the header is reported
+            lines.append("\t".join(draw(st.sampled_from(["many", "-3"])) if n in _COUNT_FIELDS
+                                    else "x" for n in names))
+        elif kind == "blank":
+            lines.append("")
+        else:
+            lines.append("\t".join(["x"] * (8 if kind == "long" else 5)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return ("\ufeff" if draw(st.booleans()) else "") + eol.join(lines) + eol
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=corpus_files())
+def test_build_matches_the_raw_record_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, dict_path = Path(tmp, "corpus.tsv"), Path(tmp, "out", "d.tsv")
+        corpus.write_bytes(text.encode("utf-8"))
+        try:
+            want = reference.build_dictionary(corpus, file_digest(corpus)[:12], default_config())
+        except InputError as e:
+            want = e
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["build", str(corpus), "--out", str(dict_path)])
+        if isinstance(want, InputError):
+            assert (rc, err.getvalue()) == (2, f"input error: {want}\n")
+            assert not dict_path.exists()
+        else:
+            dictionary_text, skipped = want
+            assert rc == 0
+            assert dict_path.read_bytes() == dictionary_text.encode("utf-8")
+            skipped_log = Path(str(dict_path) + ".skipped.log")
+            assert (read(skipped_log) if skipped_log.exists() else None) == skipped
 
 
 class TestStats:

@@ -16,9 +16,17 @@ FORMS = CFG.heading_forms
 LOOSE = PipelineConfig(min_len=1)
 
 
+AUTHORS, TITLE, ABSTRACT, CATEGORIES = 0, ingest.TITLE, ingest.ABSTRACT, ingest.CATEGORIES
+
+
+def row(**fields):
+    """The canonical cells of a record: empty text and list cells, "0" counts."""
+    return [fields.get(f, "0" if f in ingest._COUNT_FIELDS else "") for f in ingest.FIELD_ORDER]
+
+
 def parse(text):
     items = list(ingest.parse_records(io.StringIO(text)))
-    return ([r for r in items if isinstance(r, ingest.RawRecord)],
+    return ([r for r in items if isinstance(r, list)],
             [e for e in items if isinstance(e, ingest.ParseError)])
 
 
@@ -29,14 +37,13 @@ def run(text, config=CFG):
     return out.getvalue(), lengths, report, errors
 
 
-def ingest_records(records, config=CFG):
-    """run_ingest over an export holding `records`, one line each.
+def ingest_records(rows, config=CFG):
+    """run_ingest over an export holding `rows` of cells, one line each.
 
-    Returns the kept records as read back from the corpus written, the
+    Returns the kept rows as read back from the corpus written, the
     report and the lengths.
     """
-    text = ingest.corpus_header() + "\n" + "".join(ingest.format_record(r) + "\n"
-                                                   for r in records)
+    text = ingest.CORPUS_HEADER + "\n" + "".join("\t".join(r) + "\n" for r in rows)
     corpus, lengths, report, _ = run(text, config)
     kept, errors = parse(corpus)
     assert not errors
@@ -51,14 +58,14 @@ class TestParseRecords:
         text = HEADER + "A, B\tT1\tsome text\tPhys\tSci\t1\t1\nC, D\tT2\tmore text\tBio\tLife\t0\t0\n"
         records, errors = parse(text)
         assert len(records) == 2 and not errors
-        assert records[0].title == "T1"
-        assert records[0].categories == ["Phys"]
+        assert records[0][TITLE] == "T1"
+        assert records[0][CATEGORIES] == "Phys"
 
     def test_empty_authors_retained(self):
         text = HEADER + "\tT\tabstract text\tPhys\tSci\t0\t0\n"
         records, errors = parse(text)
         assert len(records) == 1 and not errors
-        assert records[0].authors == []
+        assert records[0][AUTHORS] == ""
 
     def test_wrong_column_count_ledgered(self):
         text = HEADER + "a\tb\tc\td\te\n"
@@ -71,8 +78,8 @@ class TestParseRecords:
     def test_list_fields_split_and_trimmed(self):
         text = HEADER + "Smith, J; Doe, A\tT\tabs\tPhysics ; Optics\tSci\t2\t1\n"
         records, _ = parse(text)
-        assert records[0].authors == ["Smith, J", "Doe, A"]
-        assert records[0].categories == ["Physics", "Optics"]
+        assert records[0][AUTHORS] == "Smith, J; Doe, A"
+        assert records[0][CATEGORIES] == "Physics; Optics"
 
     def test_non_integer_citation_ledgered(self):
         text = HEADER + "A\tT\tabs\tP\tS\tmany\t0\n"
@@ -83,6 +90,21 @@ class TestParseRecords:
         text = HEADER + "A\tT\tabs\tP\tS\t-3\t0\n"
         records, errors = parse(text)
         assert records == [] and len(errors) == 1
+
+    @pytest.mark.parametrize("header,reason", [
+        ("AU\tTI\tAB\tWC\tSC\tTC\tZ9\n", "non-integer value 'many' in column times_cited_core"),
+        ("AU\tTI\tAB\tWC\tSC\tZ9\tTC\n", "non-integer value 'many' in column total_times_cited"),
+    ])
+    def test_first_bad_count_in_header_order_reported(self, header, reason):
+        text = header + "A\tT\tabs\tP\tS\tmany\t-3\n"
+        assert parse(text) == ([], [ingest.ParseError(2, reason)])
+        assert reference.run_ingest(io.StringIO(text))[2] == [ingest.ParseError(2, reason)]
+
+    def test_cells_normalised(self):
+        text = HEADER + " Smith, J ;; Doe, A \t T \t abs \t ; \tS;\t +2 \t\n"
+        assert parse(text) == ([["Smith, J; Doe, A", "T", "abs", "", "S", "2", "0"]], [])
+        text = HEADER + "A\tT\tabs\tP\tS\t007\t\u0663\n"
+        assert parse(text)[0][0][5:] == ["7", "3"]
 
     def test_missing_header_column_fatal(self):
         with pytest.raises(ValueError, match="missing required columns"):
@@ -108,29 +130,28 @@ class TestParseRecords:
             raise OSError("read failed")
 
         records = ingest.parse_records(lines())
-        assert next(records).title == "T1"
+        assert next(records)[TITLE] == "T1"
         assert next(records) == ingest.ParseError(3, "expected 7 columns, got 2")
-        assert next(records).title == "T2"
+        assert next(records)[TITLE] == "T2"
         with pytest.raises(OSError, match="read failed"):
             next(records)
 
 
 class TestFilterInvalid:
     def test_empty_abstract_removed(self):
-        docs, report, _ = ingest_records([ingest.RawRecord(abstract="", categories=["Physics"])],
+        docs, report, _ = ingest_records([row(abstract="", categories="Physics")],
                                          LOOSE)
         assert docs == []
         assert (report.n_parsed, report.n_after_field_filter) == (1, 0)
 
     def test_no_categories_removed(self):
-        docs, report, _ = ingest_records([ingest.RawRecord(abstract="text", categories=[])],
+        docs, report, _ = ingest_records([row(abstract="text", categories="")],
                                          LOOSE)
         assert docs == []
         assert (report.n_parsed, report.n_after_field_filter) == (1, 0)
 
     def test_valid_kept_in_order(self):
-        rs = [ingest.RawRecord(title=f"T{i}", abstract=f"t{i}", categories=["C"])
-              for i in range(3)]
+        rs = [row(title=f"T{i}", abstract=f"t{i}", categories="C") for i in range(3)]
         docs, report, lengths = ingest_records(rs, LOOSE)
         assert docs == rs
         assert lengths == {1: 3}
@@ -138,9 +159,9 @@ class TestFilterInvalid:
 
     def test_idempotent(self):
         rs = [
-            ingest.RawRecord(abstract="", categories=["C"]),
-            ingest.RawRecord(abstract="x", categories=["C"]),
-            ingest.RawRecord(abstract="y", categories=[]),
+            row(abstract="", categories="C"),
+            row(abstract="x", categories="C"),
+            row(abstract="y", categories=""),
         ]
         once, _, _ = ingest_records(rs, LOOSE)
         again, report, _ = ingest_records(once, LOOSE)
@@ -148,10 +169,10 @@ class TestFilterInvalid:
         assert report.n_after_field_filter == len(once) == 1
 
     def test_many_categories_warn_but_keep(self, caplog):
-        rs = [ingest.RawRecord(title=f"T{i}", abstract="x", categories=[f"c{j}" for j in range(7)])
+        rs = [row(title=f"T{i}", abstract="x", categories="; ".join(f"c{j}" for j in range(7)))
               for i in range(7)]
         with caplog.at_level("WARNING"):
-            docs, _, _ = ingest_records(rs + [ingest.RawRecord(abstract="y", categories=["c"])],
+            docs, _, _ = ingest_records(rs + [row(abstract="y", categories="c; c; c; c; c; c")],
                                         LOOSE)
         assert len(docs) == 8
         assert len(caplog.records) == 1
@@ -251,7 +272,7 @@ def test_word_count_matches_split(text):
 
 class TestFilterByLength:
     def make(self, n):
-        return ingest.RawRecord(abstract="w " * n, categories=["C"])
+        return row(abstract="w " * n, categories="C")
 
     @pytest.mark.parametrize("n,kept", [(29, False), (30, True), (500, True), (501, False)])
     def test_boundaries(self, n, kept):
@@ -273,7 +294,7 @@ class TestFilterByLength:
 
 class TestLengthHistogram:
     def test_basic(self):
-        rs = [ingest.RawRecord(abstract="w " * n, categories=["C"]) for n in (3, 3, 5, 600)]
+        rs = [row(abstract="w " * n, categories="C") for n in (3, 3, 5, 600)]
         _, _, lengths = ingest_records(rs, LOOSE)
         assert lengths == {3: 2, 5: 1}
 
@@ -293,7 +314,7 @@ class TestRunIngest:
         assert not errors
         docs, _ = parse(corpus)
         assert len(docs) == 3
-        assert docs[2].abstract.startswith("Conclusion Higher")
+        assert docs[2][ABSTRACT].startswith("Conclusion Higher")
         assert lengths == {35: 1, 200: 1, 43: 1}
 
     def test_counts_monotone(self, export_file):
@@ -319,11 +340,13 @@ ATOM = st.text(
     core=st.integers(0, 10_000),
 )
 def test_round_trip(authors, title, abstract, categories, areas, total, core):
-    record = ingest.RawRecord(authors, title, abstract, categories, areas, total, core)
-    text = ingest.corpus_header() + "\n" + ingest.format_record(record) + "\n"
-    parsed, errors = parse(text)
+    cells = ["; ".join(authors), title, abstract, "; ".join(categories), "; ".join(areas),
+             str(total), str(core)]
+    out = io.StringIO()
+    assert ingest.write_corpus([cells], out) == 1
+    parsed, errors = parse(out.getvalue())
     assert not errors
-    assert parsed == [record]
+    assert parsed == [cells]
 
 
 ALIASES = {f: sorted(a for a, name in ingest._HEADER_ALIASES.items() if name == f)
@@ -398,10 +421,9 @@ def reference_or_error(text):
         docs, report, errors = reference.run_ingest(io.StringIO(text), CFG)
     except InputError as e:
         return type(e), str(e)
-    out = io.StringIO()
-    ingest.write_corpus(docs, out)
+    corpus = "".join(reference.format_record(d) + "\n" for d in docs)
     lengths, _ = reference.length_histogram(docs)
-    return out.getvalue(), lengths, report, errors
+    return ingest.CORPUS_HEADER + "\n" + corpus, lengths, report, errors
 
 
 @settings(max_examples=300, deadline=None)
