@@ -24,8 +24,6 @@ from .dictionary import DictionaryFormatError
 from .manifest import RunManifest
 from .pipeline import process_document
 
-logger = logging.getLogger("lexicorp")
-
 
 def _load_cfg(config_dir, min_len=None, max_len=None) -> PipelineConfig:
     lo = default_config().min_len if min_len is None else min_len
@@ -35,6 +33,12 @@ def _load_cfg(config_dir, min_len=None, max_len=None) -> PipelineConfig:
         raise click.UsageError(f"--min-len {lo} and --max-len {hi}: need "
                                "0 <= --min-len <= --max-len and --max-len >= 1")
     return load_config(config_dir, min_len=lo, max_len=hi)
+
+
+def _manifest(*args, **kwargs) -> RunManifest:
+    """A manifest recording the argv `main` parsed, else the command's name."""
+    ctx = click.get_current_context()
+    return RunManifest(ctx.obj or [ctx.info_name], *args, **kwargs)
 
 
 def _threshold(threshold: int | None) -> int:
@@ -71,7 +75,7 @@ def cli():
 def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
     """Clean a tab-delimited export into a canonical corpus file."""
     cfg = _load_cfg(config_dir, min_len, max_len)
-    manifest = RunManifest(sys.argv[1:] or ["ingest"], cfg.config_hash())
+    manifest = _manifest(cfg.config_hash())
     manifest.add_input(input_path)
 
     out = Path(out_dir)
@@ -108,10 +112,11 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
 @click.argument("corpus_path", type=click.Path(dir_okay=False))
 @click.option("--config", "config_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def cmd_build(corpus_path, config_dir, out_path):
+def cmd_build(corpus_path, config_dir, out_path, min_len=None, max_len=None):
     """Build the full word dictionary from a canonical corpus file."""
-    cfg = _load_cfg(config_dir)
-    manifest = RunManifest(sys.argv[1:] or ["build"], cfg.config_hash())
+    # `pipeline` passes its length bounds, which are part of the config hash.
+    cfg = _load_cfg(config_dir, min_len, max_len)
+    manifest = _manifest(cfg.config_hash())
     manifest.add_input(corpus_path)
     corpus_id = manifest.inputs[str(corpus_path)][:12]
     empty_docs = []
@@ -122,7 +127,7 @@ def cmd_build(corpus_path, config_dir, out_path):
                 raise DictionaryFormatError(cells.line_no, f"malformed corpus file: {cells.reason}")
             tokens = process_document(cells[ingest.ABSTRACT], cfg)
             if tokens:
-                yield f"doc{i}", tokens
+                yield tokens
             else:
                 empty_docs.append((i, cells[ingest.TITLE]))
 
@@ -151,7 +156,7 @@ def cmd_build(corpus_path, config_dir, out_path):
 def cmd_prune(dict_path, threshold, out_path):
     """Drop words appearing in too few documents."""
     threshold = _threshold(threshold)
-    manifest = RunManifest(sys.argv[1:] or ["prune"])
+    manifest = _manifest()
     manifest.add_input(dict_path)
     d = dictionary.load(dict_path)
     pruned = dictionary.prune(d, threshold)
@@ -183,7 +188,7 @@ def _parse_range(text):
 def cmd_stats(dict_path, fit_range, out_dir):
     """Histogram, cumulative and tail curves plus the power-law fit."""
     rng = _parse_range(fit_range)
-    manifest = RunManifest(sys.argv[1:] or ["stats"])
+    manifest = _manifest()
     manifest.add_input(dict_path)
     d = dictionary.load(dict_path)
     if not len(d):
@@ -257,7 +262,7 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
         raise click.UsageError(f"--tops must be non-negative, got {min(tops)}")
     if fragments and min(fragments) < 1:
         raise click.UsageError(f"--fragments must be at least 1, got {min(fragments)}")
-    manifest = RunManifest(sys.argv[1:] or ["compare"])
+    manifest = _manifest()
     manifest.add_input(dict_path)
     manifest.add_input(wordlist_path)
     d = dictionary.load(dict_path)
@@ -332,13 +337,14 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
     if docs < 1 or vocab < 1 or doc_len < 1 or not zipf >= 0:
         raise click.UsageError("--docs, --vocab and --length must be positive "
                                "and --zipf non-negative")
-    manifest = RunManifest(sys.argv[1:] or ["gen"], seed=seed)
+    manifest = _manifest(seed=seed)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
+    documents = lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len)
     rows = ([
-        "Synthetic, A", f"Synthetic document {doc_id}", " ".join(tokens),
+        "Synthetic, A", f"Synthetic document doc{i}", " ".join(tokens),
         "Synthetic", "Synthetic", "0", "0",
-    ] for doc_id, tokens in lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len))
+    ] for i, tokens in enumerate(documents, 1))
     with atomic_open(out) as f:
         ingest.write_corpus(rows, f)
     manifest.write(str(out) + ".manifest.json")
@@ -351,7 +357,7 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
 def cmd_dump_config(config_dir, out_dir):
     """Write the active rule tables as editable config files."""
     cfg = _load_cfg(config_dir)
-    manifest = RunManifest(sys.argv[1:] or ["dump-config"], cfg.config_hash())
+    manifest = _manifest(cfg.config_hash())
     written = dump_config(cfg, out_dir)
     for path in written:
         click.echo(str(path))
@@ -372,8 +378,8 @@ def cmd_pipeline(ctx, input_path, config_dir, min_len, max_len, threshold, out_d
     out = Path(out_dir)
     ctx.invoke(cmd_ingest, input_path=input_path, config_dir=config_dir,
                min_len=min_len, max_len=max_len, out_dir=str(out))
-    ctx.invoke(cmd_build, corpus_path=str(out / "corpus.tsv"),
-               config_dir=config_dir, out_path=str(out / "dictionary.tsv"))
+    ctx.invoke(cmd_build, corpus_path=str(out / "corpus.tsv"), config_dir=config_dir,
+               out_path=str(out / "dictionary.tsv"), min_len=min_len, max_len=max_len)
     ctx.invoke(cmd_prune, dict_path=str(out / "dictionary.tsv"),
                threshold=threshold, out_path=str(out / "dictionary_pruned.tsv"))
     ctx.invoke(cmd_stats, dict_path=str(out / "dictionary_pruned.tsv"),
@@ -381,9 +387,10 @@ def cmd_pipeline(ctx, input_path, config_dir, min_len, max_len, threshold, out_d
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit-code mapping; manifests record `argv`."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
+        cli.main(args=argv, standalone_mode=False, obj=argv)
         return 0
     except click.UsageError as e:
         click.echo(f"usage error: {e.format_message()}", err=True)

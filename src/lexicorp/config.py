@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import tables
@@ -97,15 +98,10 @@ class PipelineConfig:
         return h.hexdigest()[:12]
 
 
-_default: PipelineConfig | None = None
-
-
+@cache
 def default_config() -> PipelineConfig:
     """The built-in configuration (shared immutable instance)."""
-    global _default
-    if _default is None:
-        _default = PipelineConfig()
-    return _default
+    return PipelineConfig()
 
 
 def _read_lines(path: Path) -> list[str]:

@@ -16,6 +16,7 @@ other, with a line number for the first bad row.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -104,16 +105,16 @@ def _canonical(words: list[str], doc: np.ndarray, corpus: np.ndarray):
 
 
 def build(
-    token_lists: Iterable[tuple[str, list[str]]],
+    token_lists: Iterable[list[str]],
     corpus_id: str = "",
     config_hash: str = "",
 ) -> Dictionary:
-    """Count doc/corpus frequencies over (doc_id, tokens) pairs. A token
-    that is empty or holds a tab or a line break, "\\r" too, raises
-    ValueError: a dictionary file cannot hold it."""
+    """Count doc/corpus frequencies over the token lists of the documents.
+    A token that is empty or holds a tab or a line break, "\\r" too,
+    raises ValueError: a dictionary file cannot hold it."""
     doc_counts: Counter = Counter()
     corpus_counts: Counter = Counter()
-    for _, tokens in token_lists:
+    for tokens in token_lists:
         corpus_counts.update(tokens)
         doc_counts.update(set(tokens))
     if "" in corpus_counts or _BREAK_RE.search("".join(corpus_counts)):
@@ -267,14 +268,6 @@ def _word_hashes(words: list[str]) -> np.ndarray:
     return np.fromiter(map(hash, words), np.int64, len(words))
 
 
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """A new array of `size` elements that starts with those of `a`; the
-    rest are left unset, so the pages of a large one are not touched."""
-    grown = np.empty(size, a.dtype)
-    grown[:len(a)] = a
-    return grown
-
-
 def _raise_first_repeat(texts: list[str], hashes: np.ndarray, blank_lines: list[int]) -> None:
     """Raise the error of the first row, in file order, whose word an
     earlier row holds, if there is one. `texts` holds the words of the rows
@@ -308,11 +301,8 @@ def _read_body(stream: IO[str]):
     texts: list[str] = []
     docs: list[np.ndarray] = [np.zeros(0, np.int64)]
     corpora: list[np.ndarray] = [np.zeros(0, np.int64)]
-    # The hashes of the first `rows` words, in one buffer that doubles when
-    # full: so each hash is copied at most twice, and the buffer's memory
-    # goes back to the system when it is freed, where many small arrays,
-    # one per chunk, stay in the allocator's heap.
-    hashes, rows = np.zeros(0, np.int64), 0
+    # One buffer: freed, its memory goes back to the system, where an array per chunk would not.
+    hashes = array("q")
     blank_lines: list[int] = []  # the numbers of the blank lines, for a repeat's line number
     last = ([], docs[0], corpora[0])  # the last row so far, as columns
     in_order = True
@@ -331,17 +321,14 @@ def _read_body(stream: IO[str]):
         if not len(doc):
             continue
         words = text.split("\n")
-        if rows + len(words) > len(hashes):
-            hashes = _grown(hashes[:rows], 2 * (rows + len(words)))
-        hashes[rows:rows + len(words)] = _word_hashes(words)
-        rows += len(words)
+        hashes.frombytes(_word_hashes(words).tobytes())
         in_order = in_order and _in_canonical_order(
             last[0] + words, np.concatenate((last[1], doc)), np.concatenate((last[2], corpus)))
         last = (words[-1:], doc[-1:], corpus[-1:])
         texts.append(text)
         docs.append(doc)
         corpora.append(corpus)
-    _raise_first_repeat(texts, hashes[:rows], blank_lines)
+    _raise_first_repeat(texts, np.frombuffer(hashes, np.int64), blank_lines)
     if error is not None:
         raise error
     del hashes  # joining the columns while they were held raised peak RSS by 3 MiB

@@ -235,25 +235,19 @@ def run_ingest(
                 lengths[n_words] = lengths.get(n_words, 0) + 1
                 yield cells
 
-    report.n_after_length_filter = write_corpus(kept(), out)
+    write_corpus(kept(), out)
+    report.n_after_length_filter = sum(lengths.values())
     if n_crowded:
         logger.warning("%d record(s) have more than 6 categories (kept); first titles: %s",
                        n_crowded, ", ".join(map(repr, crowded)))
     return lengths, report, errors
 
 
-def write_corpus(rows: Iterable[list[str]], stream: IO[str]) -> int:
-    """Write rows of canonical cells as a corpus file; returns the row count.
-
-    The cells are written as given, one tab-joined line per row, under
-    the canonical header.
-    """
+def write_corpus(rows: Iterable[list[str]], stream: IO[str]) -> None:
+    """Write rows of canonical cells as given, tab-joined, under the canonical header."""
     stream.write(CORPUS_HEADER + "\n")
-    n = 0
     for cells in rows:
         stream.write("\t".join(cells) + "\n")
-        n += 1
-    return n
 
 
 def write_report(report: IngestReport, stream: IO[str]) -> None:

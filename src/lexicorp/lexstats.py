@@ -137,19 +137,24 @@ def fit_pareto(curve: TailCurve, fit_range=None) -> ParetoFit:
     )
 
 
+# Documents `gen_synthetic_corpus` draws at a time, so its memory is flat in n_docs.
+_GEN_BLOCK = 1000
+
+
 def gen_synthetic_corpus(
     vocab_size: int,
     n_docs: int,
     zipf_exponent: float,
     seed: int,
     doc_len: int = 200,
-) -> Iterator[tuple[str, list[str]]]:
-    """Yield (doc_id, tokens) pairs with Zipfian word frequencies.
+) -> Iterator[list[str]]:
+    """Yield the token lists of `n_docs` documents with Zipfian word frequencies.
 
     Word r (1-based rank) is drawn with probability proportional to
     r**-zipf_exponent. Tokens carry a digit so the text pipeline passes
     them through unchanged, which makes generated corpora exactly
-    recountable after a full ingest-build round trip.
+    recountable after a full ingest-build round trip. Drawing the
+    documents in blocks gives the tokens of one draw of them all.
     """
     if vocab_size < 1 or n_docs < 1 or doc_len < 1 or zipf_exponent < 0:
         raise ValueError("all generator parameters must be positive")
@@ -159,6 +164,7 @@ def gen_synthetic_corpus(
     probs /= probs.sum()
     width = len(str(vocab_size))
     words = [f"w{r:0{width}d}" for r in range(1, vocab_size + 1)]
-    draws = rng.choice(vocab_size, size=(n_docs, doc_len), p=probs)
-    for i in range(n_docs):
-        yield f"doc{i + 1}", [words[j] for j in draws[i]]
+    for start in range(0, n_docs, _GEN_BLOCK):
+        size = (min(_GEN_BLOCK, n_docs - start), doc_len)
+        for draws in rng.choice(vocab_size, size=size, p=probs):
+            yield list(map(words.__getitem__, draws.tolist()))

@@ -110,17 +110,11 @@ def stem_merge(word_list: Sequence[WordListEntry]) -> tuple[StemmedEntry, ...]:
     source headwords. Entries are ordered by that average (descending,
     ties by stem) so the list order mirrors the published ranking.
     """
-    groups: dict[str, list[WordListEntry]] = {}
-    order: list[str] = []
+    groups: dict[str, list[WordListEntry]] = {}  # in the order stems first appear
     for e in word_list:
-        s = stem(e.headword.lower())
-        if s not in groups:
-            groups[s] = []
-            order.append(s)
-        groups[s].append(e)
+        groups.setdefault(stem(e.headword.lower()), []).append(e)
     merged = []
-    for s in order:
-        members = groups[s]
+    for s, members in groups.items():
         sfis = [m.sfi for m in members if m.sfi is not None]
         sfi_avg = sum(sfis) / len(sfis) if sfis else None
         merged.append(StemmedEntry(s, sfi_avg, tuple(m.headword for m in members)))

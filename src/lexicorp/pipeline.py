@@ -108,10 +108,6 @@ def _token_memo(config: PipelineConfig) -> _TokenMemo:
     return memo
 
 
-def processed_stop_set(config: PipelineConfig | None = None) -> frozenset[str]:
-    return _token_memo(config or default_config()).stop_set
-
-
 def process_document(abstract: str, config: PipelineConfig | None = None) -> list[str]:
     """Run the full pipeline on one abstract and return its token list.
 

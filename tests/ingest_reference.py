@@ -199,7 +199,7 @@ def build_dictionary(corpus_path, corpus_id: str, config: PipelineConfig) -> tup
                 raise DictionaryFormatError(r.line_no, f"malformed corpus file: {r.reason}")
             tokens = process_document(r.abstract, config)
             if tokens:
-                yield f"doc{i}", tokens
+                yield tokens
             else:
                 empty_docs.append((i, r.title))
 

@@ -2,18 +2,24 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import ingest_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexicorp
 from conftest import dictionary_of, rows_of
 from lexicorp import dictionary as dct
+from lexicorp import lexstats
 from lexicorp.cli import main
-from lexicorp.config import InputError, default_config
+from lexicorp.config import InputError, default_config, load_config
 from lexicorp.ingest import _COUNT_FIELDS, _HEADER_ALIASES, CORPUS_HEADER
 from lexicorp.manifest import file_digest
 
@@ -697,6 +703,35 @@ class TestGen:
         assert main(["gen", "--docs", "5", "--zipf", zipf, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_drawing_in_blocks_keeps_the_corpus(self, tmp_path, block):
+        args = ["gen", "--docs", "20", "--vocab", "30", "--length", "12", "--seed", "4", "--out"]
+        assert main(args + [str(tmp_path / "default.tsv")]) == 0
+        with mock.patch.object(lexstats, "_GEN_BLOCK", block):
+            assert main(args + [str(tmp_path / "blocks.tsv")]) == 0
+        assert read(tmp_path / "blocks.tsv") == read(tmp_path / "default.tsv")
+
+    def test_corpus_bytes_pinned(self, tmp_path):
+        # Written by the generator that drew all documents in one call;
+        # 2,500 documents span three blocks of the default size.
+        out = tmp_path / "synth.tsv"
+        assert main(["gen", "--docs", "2500", "--vocab", "300", "--length", "40",
+                     "--zipf", "1.1", "--seed", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5a59547b552dcea6801d5a7d5ef7134d7284dc4b821eab89578433a66a621a98")
+
+    def test_manifest_records_the_argv_main_parsed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["pytest", "-q", "tests/"])
+        args = ["gen", "--docs", "3", "--vocab", "10", "--seed", "2",
+                "--out", str(tmp_path / "a.tsv")]
+        assert main(args) == 0
+        assert json.loads(read(tmp_path / "a.tsv.manifest.json"))["command"] == args
+        # Without an argv, `main` parses the process's own arguments.
+        args[-1] = str(tmp_path / "b.tsv")
+        monkeypatch.setattr(sys, "argv", ["lexicorp", *args])
+        assert main() == 0
+        assert json.loads(read(tmp_path / "b.tsv.manifest.json"))["command"] == args
+
     def test_generated_corpus_builds(self, tmp_path):
         corpus = tmp_path / "synth.tsv"
         assert main(["gen", "--docs", "8", "--vocab", "40", "--length", "50",
@@ -751,3 +786,58 @@ class TestPipelineCommand:
 
     def test_usage_error_on_no_command(self):
         assert main([]) == 1
+
+    def test_one_config_hash_per_run(self, tmp_path, export_file, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["pytest"])
+        out = tmp_path / "run"
+        args = ["pipeline", str(export_file), "--min-len", "10", "--threshold", "0",
+                "--out", str(out)]
+        assert main(args) == 0
+        want = load_config(min_len=10).config_hash()
+        assert want != default_config().config_hash()
+        for name in ("dictionary.tsv", "dictionary_pruned.tsv"):
+            assert read(out / name).split("\n", 1)[0].split()[3] == f"config={want}"
+        manifests = [json.loads(read(p)) for p in sorted(out.rglob("*manifest.json"))]
+        assert len(manifests) == 4
+        assert all(m["command"] == args for m in manifests)
+        # prune and stats read no config, so theirs record none.
+        assert sorted(m["config_hash"] for m in manifests) == ["", "", want, want]
+
+    def test_default_bounds_build_as_the_build_command(self, tmp_path, export_file):
+        out = tmp_path / "run"
+        assert main(["pipeline", str(export_file), "--threshold", "0", "--out", str(out)]) == 0
+        assert main(["build", str(out / "corpus.tsv"), "--out", str(tmp_path / "d.tsv")]) == 0
+        assert read(out / "dictionary.tsv") == read(tmp_path / "d.tsv")
+
+
+# What pipeline's peak RSS may gain at 16 times the documents over the same
+# vocabulary. Heap layout alone moves it by about 3 MiB. On 1,000 documents
+# of 120 tokens the peak read 38.5 MiB at both sizes, and a build that held
+# every document's token list read 38.5 -> 55.3 MiB (Linux x86-64, CPython 3.11).
+PIPELINE_RSS_SLACK_KIB = 6 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_pipeline_memory_does_not_grow_with_documents(tmp_path):
+    corpus = tmp_path / "synth.tsv"
+    assert main(["gen", "--docs", "1000", "--length", "120", "--seed", "1",
+                 "--out", str(corpus)]) == 0
+    header, _, body = read(corpus).partition("\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(lexicorp.__file__).parents[1])}
+    # Linux counts the resident set of the process that starts a program
+    # into its ru_maxrss, so a small launcher, not this one, starts each run.
+    launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    code = ("import resource, sys; from lexicorp.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    peaks = []
+    for copies in (1, 16):
+        export = tmp_path / f"x{copies}.tsv"
+        export.write_text(header + "\n" + body * copies, encoding="utf-8")
+        run = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code,
+                              "pipeline", str(export), "--out", str(tmp_path / f"run{copies}")],
+                             env=env, capture_output=True, text=True, check=True)
+        rc, peak = map(int, run.stdout.split("\n")[-2].split())
+        assert rc == 0
+        peaks.append(peak)
+    assert read(tmp_path / "run16" / "ingest_report.tsv").startswith("n_parsed\t16000\n")
+    assert peaks[1] - peaks[0] <= PIPELINE_RSS_SLACK_KIB, peaks

@@ -21,7 +21,7 @@ from lexicorp.dictionary import DictionaryFormatError, Provenance
 def naive_recount(token_lists):
     """Independent oracle: per-word counts via plain dicts, no shortcuts."""
     doc_counts, corpus_counts = {}, {}
-    for _, tokens in token_lists:
+    for tokens in token_lists:
         for t in tokens:
             corpus_counts[t] = corpus_counts.get(t, 0) + 1
         for t in sorted(set(tokens)):
@@ -31,26 +31,26 @@ def naive_recount(token_lists):
 
 class TestBuild:
     def test_two_documents(self):
-        d = dct.build([("d1", ["a", "b", "a"]), ("d2", ["a"])])
+        d = dct.build([["a", "b", "a"], ["a"]])
         assert rows_of(d) == [("a", 2, 3), ("b", 1, 1)]
 
     def test_empty_stream(self):
         assert len(dct.build([])) == 0
 
     def test_single_empty_token_list(self):
-        assert len(dct.build([("d1", [])])) == 0
+        assert len(dct.build([[]])) == 0
 
     def test_ordering(self):
         d = dct.build([
-            ("d1", ["low", "high", "mid"]),
-            ("d2", ["high", "mid", "mid"]),
-            ("d3", ["high"]),
+            ["low", "high", "mid"],
+            ["high", "mid", "mid"],
+            ["high"],
         ])
         # high: doc 3; mid: doc 2, corpus 3; low: doc 1
         assert d.words() == ["high", "mid", "low"]
 
     def test_tie_break_corpus_count_then_word(self):
-        d = dct.build([("d1", ["b", "b", "a", "z"]), ("d2", ["a", "b", "z"])])
+        d = dct.build([["b", "b", "a", "z"], ["a", "b", "z"]])
         # all have doc_count 2; b corpus 3 first, then a and z alphabetical
         assert d.words() == ["b", "a", "z"]
 
@@ -119,7 +119,7 @@ class TestSerialization:
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "d.tsv"
-        dct.save(dct.build([("d", ["a", "b"])]), path)
+        dct.save(dct.build([["a", "b"]]), path)
         assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
         before = path.read_bytes()
 
@@ -129,15 +129,13 @@ class TestSerialization:
 
         monkeypatch.setattr(dct, "serialize", fail_mid_write)
         with pytest.raises(OSError, match="disk full"):
-            dct.save(dct.build([("d", ["c"])]), path)
+            dct.save(dct.build([["c"]]), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
 
 
 TOKEN = st.text(alphabet="abcdefg", min_size=1, max_size=3)
-TOKEN_LISTS = st.lists(
-    st.lists(TOKEN, max_size=8), max_size=12
-).map(lambda lists: [(f"d{i}", toks) for i, toks in enumerate(lists)])
+TOKEN_LISTS = st.lists(st.lists(TOKEN, max_size=8), max_size=12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,7 +145,7 @@ def test_counts_match_naive_recount(token_lists):
     doc_counts, corpus_counts = naive_recount(token_lists)
     assert dict(zip(d.words(), d.doc.tolist())) == doc_counts
     assert dict(zip(d.words(), d.corpus.tolist())) == corpus_counts
-    total_tokens = sum(len(t) for _, t in token_lists)
+    total_tokens = sum(map(len, token_lists))
     assert d.corpus.sum() == total_tokens
     n_docs = len(token_lists)
     assert all(corpus >= doc >= 1 for _, doc, corpus in rows_of(d))
@@ -192,7 +190,7 @@ def test_load_refuses_rows_a_file_cannot_hold(tmp_path, rows, line_no):
 
 
 def _built():
-    return dct.build([("d1", ["a", "b", "a"]), ("d2", ["a"])])
+    return dct.build([["a", "b", "a"], ["a"]])
 
 
 def _pruned():
@@ -224,7 +222,7 @@ def test_prune_copies_no_column():
 ])
 def test_build_refuses_words_a_file_cannot_hold(tokens, word):
     with pytest.raises(ValueError, match=re.escape(repr(word))):
-        dct.build([("d", tokens)])
+        dct.build([tokens])
 
 
 @pytest.mark.parametrize("fields", [

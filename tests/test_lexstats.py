@@ -175,7 +175,7 @@ class TestSyntheticCorpus:
 
     def test_vocab_size_one(self):
         docs = list(ls.gen_synthetic_corpus(1, 3, 1.0, seed=0, doc_len=5))
-        assert all(set(tokens) == {"w1"} for _, tokens in docs)
+        assert all(set(tokens) == {"w1"} for tokens in docs)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -191,6 +191,4 @@ class TestSyntheticCorpus:
     def test_doc_shape(self):
         docs = list(ls.gen_synthetic_corpus(30, 7, 1.2, seed=9, doc_len=64))
         assert len(docs) == 7
-        assert all(len(tokens) == 64 for _, tokens in docs)
-        ids = [doc_id for doc_id, _ in docs]
-        assert ids == [f"doc{i}" for i in range(1, 8)]
+        assert all(len(tokens) == 64 for tokens in docs)

@@ -138,7 +138,7 @@ class TestRemoveStopwords:
 
     def test_stemmed_stop_forms_match(self):
         # "does" stems to "doe"; the processed list must still catch it
-        stop = pl.processed_stop_set(CFG)
+        stop = pl._token_memo(CFG).stop_set
         assert "doe" in stop
         assert "the" in stop
         assert pl.process_document("Does the") == []
@@ -276,7 +276,7 @@ def test_memo_entry_matches_reference_with_odd_substitution_values(token):
         assert pl.process_document(text, _ODD_VALUES) == ref.process_document(text, _ODD_VALUES)
 
 def test_processed_stop_set_matches_reference():
-    assert pl.processed_stop_set(CFG) == ref.processed_stop_set(CFG)
+    assert pl._token_memo(CFG).stop_set == ref.processed_stop_set(CFG)
 
 
 @settings(max_examples=500, deadline=None)
