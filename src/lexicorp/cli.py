@@ -8,6 +8,7 @@ Exit codes: 0 success (warnings allowed), 1 usage error, 2 input error,
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -18,21 +19,17 @@ import click
 
 from . import dictionary, ingest, lexstats, listcompare
 from .atomic import atomic_open
-from .config import (PRUNE_THRESHOLD, InputError, PipelineConfig, default_config, dump_config,
-                     load_config)
+from .config import PRUNE_THRESHOLD, InputError, PipelineConfig, dump_config, load_config
 from .dictionary import DictionaryFormatError
 from .manifest import RunManifest
 from .pipeline import process_document
 
 
-def _load_cfg(config_dir, min_len=None, max_len=None) -> PipelineConfig:
-    lo = default_config().min_len if min_len is None else min_len
-    hi = default_config().max_len if max_len is None else max_len
-    # Command-line input, so checked before any file is read.
-    if lo < 0 or hi < 1 or lo > hi:
-        raise click.UsageError(f"--min-len {lo} and --max-len {hi}: need "
-                               "0 <= --min-len <= --max-len and --max-len >= 1")
-    return load_config(config_dir, min_len=lo, max_len=hi)
+def _load_cfg(config_dir, min_len=PipelineConfig.min_len, max_len=PipelineConfig.max_len):
+    # click checks each bound; this cross-check also runs before any file is read.
+    if min_len > max_len:
+        raise click.UsageError(f"--min-len {min_len} exceeds --max-len {max_len}")
+    return load_config(config_dir, min_len=min_len, max_len=max_len)
 
 
 def _manifest(*args, **kwargs) -> RunManifest:
@@ -41,15 +38,15 @@ def _manifest(*args, **kwargs) -> RunManifest:
     return RunManifest(ctx.obj or [ctx.info_name], *args, **kwargs)
 
 
-def _threshold(threshold: int | None) -> int:
-    """--threshold or its default, checked before any file is read."""
-    if threshold is not None and threshold < 0:
-        raise click.UsageError("--threshold must be non-negative")
-    return PRUNE_THRESHOLD if threshold is None else threshold
-
-
-def _fmt_pct(fraction: float) -> str:
-    return f"{fraction * 100:.1f}%"
+# Options of more than one command; click checks them before any file is read.
+_config = click.option("--config", "config_dir", type=click.Path(file_okay=False),
+                       help="Directory with table files overriding the built-in rules.")
+_min_len = click.option("--min-len", type=click.IntRange(min=0), default=PipelineConfig.min_len,
+                        show_default=True, help="Minimum abstract length in words.")
+_max_len = click.option("--max-len", type=click.IntRange(min=1), default=PipelineConfig.max_len,
+                        show_default=True, help="Maximum abstract length in words.")
+_threshold = click.option("--threshold", type=click.IntRange(min=0), default=PRUNE_THRESHOLD,
+                          show_default=True, help="Keep words in more than this many documents.")
 
 
 def _write_lines(path, lines) -> None:
@@ -67,10 +64,9 @@ def cli():
 
 @cli.command("ingest")
 @click.argument("input_path", type=click.Path(dir_okay=False))
-@click.option("--config", "config_dir", type=click.Path(file_okay=False), default=None,
-              help="Directory with table files overriding the built-in rules.")
-@click.option("--min-len", type=int, default=None, help="Minimum abstract length (default 30).")
-@click.option("--max-len", type=int, default=None, help="Maximum abstract length (default 500).")
+@_config
+@_min_len
+@_max_len
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
     """Clean a tab-delimited export into a canonical corpus file."""
@@ -92,7 +88,8 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
                     d.rmdir()
             raise
     with atomic_open(out / "ingest_report.tsv") as f:
-        ingest.write_report(report, f)
+        for key, value in vars(report).items():
+            f.write(f"{key}\t{value}\n")
         if lengths:
             mean = sum(n * k for n, k in lengths.items()) / report.n_after_length_filter
             f.write(f"mean_length\t{mean:.3f}\n")
@@ -110,12 +107,12 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
 
 @cli.command("build")
 @click.argument("corpus_path", type=click.Path(dir_okay=False))
-@click.option("--config", "config_dir", type=click.Path(file_okay=False), default=None)
+@_config
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def cmd_build(corpus_path, config_dir, out_path, min_len=None, max_len=None):
+def cmd_build(corpus_path, config_dir, out_path, **bounds):
     """Build the full word dictionary from a canonical corpus file."""
     # `pipeline` passes its length bounds, which are part of the config hash.
-    cfg = _load_cfg(config_dir, min_len, max_len)
+    cfg = _load_cfg(config_dir, **bounds)
     manifest = _manifest(cfg.config_hash())
     manifest.add_input(corpus_path)
     corpus_id = manifest.inputs[str(corpus_path)][:12]
@@ -150,15 +147,14 @@ def cmd_build(corpus_path, config_dir, out_path, min_len=None, max_len=None):
 
 @cli.command("prune")
 @click.argument("dict_path", type=click.Path(dir_okay=False))
-@click.option("--threshold", type=int, default=None,
-              help="Keep words in more than this many documents (default 10).")
+@_threshold
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_prune(dict_path, threshold, out_path):
     """Drop words appearing in too few documents."""
-    threshold = _threshold(threshold)
     manifest = _manifest()
     manifest.add_input(dict_path)
     d = dictionary.load(dict_path)
+    manifest.config_hash = d.provenance.config_hash
     pruned = dictionary.prune(d, threshold)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -191,6 +187,7 @@ def cmd_stats(dict_path, fit_range, out_dir):
     manifest = _manifest()
     manifest.add_input(dict_path)
     d = dictionary.load(dict_path)
+    manifest.config_hash = d.provenance.config_hash
     if not len(d):
         raise InputError("empty dictionary")
     out = Path(out_dir)
@@ -237,35 +234,30 @@ def cmd_stats(dict_path, fit_range, out_dir):
         click.echo(f"alpha={fit.alpha:.4f} beta={fit.beta:.1f} mse={fit.mse:.1f}")
 
 
-def _parse_int_list(text):
-    if text is None:
-        return None
-    try:
-        return [int(v) for v in text.replace(" ", "").split(",") if v]
-    except ValueError:
-        raise click.UsageError("expected a comma-separated list of integers") from None
+def _int_list(minimum, ctx, param, text):
+    """A comma-separated list of integers of at least `minimum`, or None."""
+    each = click.IntRange(min=minimum)
+    return None if text is None else [each.convert(v, param, ctx)
+                                      for v in text.replace(" ", "").split(",") if v]
 
 
 @cli.command("compare")
 @click.argument("dict_path", type=click.Path(dir_okay=False))
 @click.argument("wordlist_path", type=click.Path(dir_okay=False))
-@click.option("--widths", default=None, help="Interval widths (comma-separated).")
-@click.option("--tops", default=None, help="Top/bottom-n sizes (comma-separated).")
-@click.option("--fragments", default=None, help="Dictionary fragment sizes.")
+@click.option("--widths", callback=functools.partial(_int_list, 1),
+              help="Interval widths (comma-separated, each >= 1).")
+@click.option("--tops", callback=functools.partial(_int_list, 0),
+              help="Top/bottom-n sizes (comma-separated, each >= 0).")
+@click.option("--fragments", callback=functools.partial(_int_list, 1),
+              help="Dictionary fragment sizes (comma-separated, each >= 1).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     """Coverage, overlap and rank agreement against a headword list."""
-    widths, tops, fragments = (_parse_int_list(v) for v in (widths, tops, fragments))
-    if widths and min(widths) < 1:
-        raise click.UsageError(f"--widths must be at least 1, got {min(widths)}")
-    if tops and min(tops) < 0:
-        raise click.UsageError(f"--tops must be non-negative, got {min(tops)}")
-    if fragments and min(fragments) < 1:
-        raise click.UsageError(f"--fragments must be at least 1, got {min(fragments)}")
     manifest = _manifest()
     manifest.add_input(dict_path)
     manifest.add_input(wordlist_path)
     d = dictionary.load(dict_path)
+    manifest.config_hash = d.provenance.config_hash
     with open(wordlist_path, encoding="utf-8-sig") as f:
         raw_list = listcompare.read_word_list(f)
     if not len(raw_list):
@@ -277,23 +269,23 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     _write_comparison(report, out)
     manifest.write(out / "manifest.json")
     click.echo(f"coverage {report.coverage_count}/{report.n_stems} "
-               f"({_fmt_pct(report.coverage_pct)})")
+               f"({report.coverage_pct:.1%})")
 
 
 def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
     _write_lines(out / "coverage.tsv", [
         "headwords\tstems\tcovered\tcoverage_pct",
         f"{report.n_headwords}\t{report.n_stems}\t{report.coverage_count}"
-        f"\t{_fmt_pct(report.coverage_pct)}",
+        f"\t{report.coverage_pct:.1%}",
         *(f"missing\t{w}" for w in report.missing_words)])
     _write_lines(out / "fragments.tsv", ["fragment_size\tfound\tpct\tnewly_added", *(
-        f"{k}\t{found}\t{_fmt_pct(pct)}\t{', '.join(added)}"
+        f"{k}\t{found}\t{pct:.1%}\t{', '.join(added)}"
         for k, found, pct, added in report.fragment_table)])
     _write_lines(out / "last_position.tsv", ["list_fragment\tlast_position\tpct_of_dictionary", *(
-        f"{m}\t{pos}\t{_fmt_pct(pct)}" for m, pos, pct in report.last_position_table)])
+        f"{m}\t{pos}\t{pct:.1%}" for m, pos, pct in report.last_position_table)])
     n = len(report.common_words)
     _write_lines(out / "interval_overlaps.tsv", ["width\tintervals\toverlap_pct", *(
-        f"{w}\t{-(-n // w)}\t{_fmt_pct(frac)}"
+        f"{w}\t{-(-n // w)}\t{frac:.1%}"
         for w, frac in sorted(report.interval_overlaps.items()))])
     _write_lines(out / "top_bottom_overlap.tsv", ["n\ttop_common\tbottom_common", *(
         f"{k}\t{report.top_overlap[k]}\t{report.bottom_overlap[k]}"
@@ -324,19 +316,20 @@ def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
 
 
 @cli.command("gen")
-@click.option("--vocab", type=int, default=5000, help="Vocabulary size.")
-@click.option("--docs", type=int, required=True, help="Number of documents.")
-@click.option("--zipf", type=float, default=1.0, help="Rank-frequency exponent.")
-@click.option("--length", "doc_len", type=int, default=200, help="Words per document.")
-@click.option("--seed", type=int, default=0)
+@click.option("--vocab", type=click.IntRange(min=1), default=5000, show_default=True,
+              help="Vocabulary size.")
+@click.option("--docs", type=click.IntRange(min=1), required=True, help="Number of documents.")
+@click.option("--zipf", type=click.FloatRange(min=0), default=1.0, show_default=True,
+              help="Rank-frequency exponent.")
+@click.option("--length", "doc_len", type=click.IntRange(min=1), default=200, show_default=True,
+              help="Words per document.")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
     """Generate a synthetic corpus with Zipfian word frequencies."""
-    # Checked here, not by the generator, which raises only once the
-    # corpus file has been opened for writing.
-    if docs < 1 or vocab < 1 or doc_len < 1 or not zipf >= 0:
-        raise click.UsageError("--docs, --vocab and --length must be positive "
-                               "and --zipf non-negative")
+    # FloatRange lets nan through, which the generator refuses only after opening --out.
+    if math.isnan(zipf):
+        raise click.BadParameter("nan is not a number.", param_hint="'--zipf'")
     manifest = _manifest(seed=seed)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -352,7 +345,7 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
 
 
 @cli.command("dump-config")
-@click.option("--config", "config_dir", type=click.Path(file_okay=False), default=None)
+@_config
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_dump_config(config_dir, out_dir):
     """Write the active rule tables as editable config files."""
@@ -366,15 +359,14 @@ def cmd_dump_config(config_dir, out_dir):
 
 @cli.command("pipeline")
 @click.argument("input_path", type=click.Path(dir_okay=False))
-@click.option("--config", "config_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--min-len", type=int, default=None)
-@click.option("--max-len", type=int, default=None)
-@click.option("--threshold", type=int, default=None)
+@_config
+@_min_len
+@_max_len
+@_threshold
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 @click.pass_context
 def cmd_pipeline(ctx, input_path, config_dir, min_len, max_len, threshold, out_dir):
     """Chain ingest, build, prune and stats over one input file."""
-    threshold = _threshold(threshold)
     out = Path(out_dir)
     ctx.invoke(cmd_ingest, input_path=input_path, config_dir=config_dir,
                min_len=min_len, max_len=max_len, out_dir=str(out))

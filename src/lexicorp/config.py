@@ -28,7 +28,6 @@ CANONICAL_STEP_ORDER = (
     "remove_stopwords",
 )
 
-CONFIG_DIR_ENV = "LEXICORP_CONFIG_DIR"
 # The default of `prune --threshold`, hashed into config_hash().
 PRUNE_THRESHOLD = 10
 
@@ -130,14 +129,12 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
     """Build a PipelineConfig from table files in `directory`.
 
     Missing files fall back to the built-in tables; `directory=None`
-    consults the LEXICORP_CONFIG_DIR environment variable and finally the
-    defaults. Keyword overrides (min_len, max_len) are applied on top.
+    gives the defaults. Keyword overrides (min_len, max_len) are applied
+    on top.
     The order of the pipeline steps is fixed (CANONICAL_STEP_ORDER);
     steps 3-8 run once per distinct token. A table file may start with a
     UTF-8 BOM; one that fails its check raises InputError naming the file.
     """
-    if directory is None:
-        directory = os.environ.get(CONFIG_DIR_ENV)
     kwargs = {}
     if directory is not None:
         d = Path(directory)

@@ -248,9 +248,3 @@ def write_corpus(rows: Iterable[list[str]], stream: IO[str]) -> None:
     stream.write(CORPUS_HEADER + "\n")
     for cells in rows:
         stream.write("\t".join(cells) + "\n")
-
-
-def write_report(report: IngestReport, stream: IO[str]) -> None:
-    for key in ("n_parsed", "n_after_field_filter", "n_after_length_filter",
-                "n_headings_split"):
-        stream.write(f"{key}\t{getattr(report, key)}\n")

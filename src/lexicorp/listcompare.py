@@ -63,18 +63,23 @@ class ComparisonReport:
 def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
     """Read a "headword,sfi[,u,d]" CSV; a header row is detected and skipped.
 
-    A row without a numeric second column yields an entry with sfi=None;
-    if a stem is then left with no frequency index, `compare` skips the
-    rank analyses with a warning. A nan or infinite sfi, u or d value
-    raises `InputError`.
+    Only the first row that is not blank may be the header. A row without
+    a numeric second column yields an entry with sfi=None; if a stem is
+    then left with no frequency index, `compare` skips the rank analyses
+    with a warning. A nan or infinite sfi, u or d value raises
+    `InputError`; sfi or d values outside their range are kept and
+    counted in one warning per column.
     """
     entries = []
+    outside = {"frequency index": [], "dispersion": []}  # row numbers, per kind
+    first = True
     for row_no, row in enumerate(csv.reader(stream), 1):
         if not row or not row[0].strip():
             continue
         head = row[0].strip().lower()
         rest = [c.strip() for c in row[1:]]
-        if row_no == 1:
+        if first:
+            first = False
             looks_numeric = any(_parse_float(c) is not None for c in rest if c)
             if (rest and not looks_numeric) or head in ("headword", "word", "lemma"):
                 continue  # header row
@@ -86,10 +91,14 @@ def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
             values.append(value)
         sfi, u, d = values
         if sfi is not None and not 0 <= sfi <= 100:
-            logger.warning("row %d: frequency index %.3f outside [0, 100]", row_no, sfi)
+            outside["frequency index"].append(row_no)
         if d is not None and not 0 <= d <= 1:
-            logger.warning("row %d: dispersion %.3f outside [0, 1]", row_no, d)
+            outside["dispersion"].append(row_no)
         entries.append(WordListEntry(head, sfi, u, d))
+    for kind, bounds in (("frequency index", "[0, 100]"), ("dispersion", "[0, 1]")):
+        if rows := outside[kind]:
+            logger.warning("%d row(s) hold a %s outside %s; first rows: %s", len(rows), kind,
+                           bounds, ", ".join(map(str, rows[:5])))
     return tuple(entries)
 
 

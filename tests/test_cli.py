@@ -137,18 +137,19 @@ class TestIngest:
 
 
     @pytest.mark.parametrize("command", ["ingest", "pipeline"])
-    @pytest.mark.parametrize("bounds", [
-        ["--min-len", "600"],                    # above the default --max-len 500
-        ["--min-len", "50", "--max-len", "40"],
-        ["--min-len", "-5"],
-        ["--max-len", "0"],
-    ])
-    def test_bad_length_bounds_are_usage_errors(self, tmp_path, command, bounds, capsys):
+    @pytest.mark.parametrize("bounds,refused", [
+        (["--min-len", "600"], "--min-len 600 exceeds --max-len 500"),  # the default --max-len
+        (["--min-len", "50", "--max-len", "40"], "--min-len 50 exceeds --max-len 40"),
+        (["--min-len", "-5"], "'--min-len'"),
+        (["--max-len", "0"], "'--max-len'"),
+    ], ids=["bounds0", "bounds1", "bounds2", "bounds3"])
+    def test_bad_length_bounds_are_usage_errors(self, tmp_path, command, bounds, refused,
+                                                capsys):
         # the export does not exist: the bounds are refused before any file is read
         out = tmp_path / "o"
         rc = main([command, str(tmp_path / "no.tsv"), *bounds, "--out", str(out)])
         assert rc == 1
-        assert "--min-len" in capsys.readouterr().err
+        assert refused in capsys.readouterr().err
         assert not out.exists()
 
     def test_substitution_key_without_hyphen_is_input_error(self, export_file, tmp_path,
@@ -304,12 +305,18 @@ class TestBuildAndPrune:
         assert main(["prune", str(dict_path), "--threshold", "0", "--out", str(out)]) == 0
         assert rows_of(dct.load(out)) == rows_of(dct.load(dict_path))
 
-    def test_prune_negative_threshold_usage_error(self, tmp_path):
+    def test_prune_negative_threshold_usage_error(self, tmp_path, capsys):
         dict_path = tmp_path / "d.tsv"
         dct.save(dictionary_of([("a", 1, 2)]), dict_path)
         rc = main(["prune", str(dict_path), "--threshold", "-1",
                    "--out", str(tmp_path / "p.tsv")])
         assert rc == 1
+        assert "'--threshold'" in capsys.readouterr().err
+        assert not (tmp_path / "p.tsv").exists()
+
+    def test_help_shows_default_and_range(self, capsys):
+        assert main(["prune", "--help"]) == 0
+        assert "[default: 10; x>=0]" in " ".join(capsys.readouterr().out.split())
 
     def test_corrupt_dictionary_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -573,6 +580,16 @@ class TestCompare:
         assert b"missing\tzz\n" in outputs[1]["coverage.tsv"]
         assert json.loads(outputs[1]["summary.json"])["coverage_count"] == 3
 
+    def test_manifest_records_the_dictionary_config_hash(self, tmp_path):
+        dict_path, wl_path = self.make_inputs(tmp_path)
+        dct.save(dictionary_of([("a", 2, 3)], dct.Provenance(config_hash="0123abcd4567")),
+                 dict_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        assert manifest["config_hash"] == "0123abcd4567"
+        assert list(manifest["inputs"]) == [str(dict_path), str(wl_path)]
+
     def test_empty_word_list_is_input_error(self, tmp_path):
         dict_path, _ = self.make_inputs(tmp_path)
         empty = tmp_path / "empty.csv"
@@ -588,7 +605,7 @@ class TestCompare:
         rc = main(["compare", str(tmp_path / "no.tsv"), str(tmp_path / "no.csv"),
                    option, value, "--out", str(out)])
         assert rc == 1
-        assert option in capsys.readouterr().err
+        assert f"'{option}'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -694,13 +711,15 @@ class TestGen:
         assert main(args + ["--out", str(p2)]) == 0
         assert read(p1) == read(p2)
 
-    def test_zero_docs_usage_error(self, tmp_path):
+    def test_zero_docs_usage_error(self, tmp_path, capsys):
         assert main(["gen", "--docs", "0", "--out", str(tmp_path / "x.tsv")]) == 1
+        assert "'--docs'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("zipf", ["-1", "nan"])
-    def test_bad_zipf_usage_error_writes_nothing(self, tmp_path, zipf):
+    def test_bad_zipf_usage_error_writes_nothing(self, tmp_path, zipf, capsys):
         out = tmp_path / "x.tsv"
         assert main(["gen", "--docs", "5", "--zipf", zipf, "--out", str(out)]) == 1
+        assert "'--zipf'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("block", [1, 7])
@@ -771,7 +790,8 @@ class TestPipelineCommand:
                                                                    capsys):
         out = tmp_path / "run"
         assert main(["pipeline", str(export_file), "--threshold", "-1", "--out", str(out)]) == 1
-        assert "usage error: --threshold must be non-negative" in capsys.readouterr().err
+        assert ("usage error: Invalid value for '--threshold': -1 is not in the range x>=0."
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_outputs_leave_no_temporary_files(self, tmp_path, export_file):
@@ -800,8 +820,8 @@ class TestPipelineCommand:
         manifests = [json.loads(read(p)) for p in sorted(out.rglob("*manifest.json"))]
         assert len(manifests) == 4
         assert all(m["command"] == args for m in manifests)
-        # prune and stats read no config, so theirs record none.
-        assert sorted(m["config_hash"] for m in manifests) == ["", "", want, want]
+        # prune and stats record the config hash of the dictionary they read.
+        assert [m["config_hash"] for m in manifests] == [want] * 4
 
     def test_default_bounds_build_as_the_build_command(self, tmp_path, export_file):
         out = tmp_path / "run"

@@ -2,8 +2,8 @@ import pytest
 
 from lexicorp import ingest
 from lexicorp import pipeline as pl
+from lexicorp.cli import main
 from lexicorp.config import (
-    CONFIG_DIR_ENV,
     InputError,
     PipelineConfig,
     default_config,
@@ -32,23 +32,21 @@ def test_partial_override_falls_back_to_defaults(tmp_path):
     assert pl._token_memo(cfg)._text_steps("anti-viral") == ["anti", "viral"]
 
 
-def test_env_var_names_config_dir(tmp_path, monkeypatch):
-    (tmp_path / "stopwords.txt").write_text("zonk\n", encoding="utf-8")
-    monkeypatch.setenv(CONFIG_DIR_ENV, str(tmp_path))
-    cfg = load_config()
-    assert cfg.stop_words == ("zonk",)
-    assert pl.process_document("zonk results", cfg) == ["result"]
-
-
-def test_explicit_dir_beats_env(tmp_path, monkeypatch):
+def test_only_config_picks_the_tables(tmp_path, monkeypatch):
+    # Only --config (or load_config's directory) picks the rule tables, not the environment.
+    corpus = tmp_path / "corpus.tsv"
+    with open(corpus, "w", encoding="utf-8") as f:
+        ingest.write_corpus([["A", "T", "the results result in a result", "C", "R", "0", "0"]], f)
+    assert main(["build", str(corpus), "--out", str(tmp_path / "plain.tsv")]) == 0
     env_dir = tmp_path / "env"
     env_dir.mkdir()
-    (env_dir / "stopwords.txt").write_text("fromenv\n", encoding="utf-8")
-    arg_dir = tmp_path / "arg"
-    arg_dir.mkdir()
-    (arg_dir / "stopwords.txt").write_text("fromarg\n", encoding="utf-8")
-    monkeypatch.setenv(CONFIG_DIR_ENV, str(env_dir))
-    assert load_config(arg_dir).stop_words == ("fromarg",)
+    (env_dir / "stopwords.txt").write_text("result\n", encoding="utf-8")
+    monkeypatch.setenv("LEXICORP_CONFIG_DIR", str(env_dir))
+    assert load_config().config_hash() == default_config().config_hash()
+    assert main(["build", str(corpus), "--out", str(tmp_path / "env.tsv")]) == 0
+    plain = (tmp_path / "plain.tsv").read_text(encoding="utf-8")
+    assert (tmp_path / "env.tsv").read_text(encoding="utf-8") == plain
+    assert "result\t1\t3\n" in plain
 
 
 def test_missing_directory_raises(tmp_path):

@@ -123,6 +123,7 @@ class TestReadWordList:
         ("foo,50,inf,0.5\n", "row 1: u 'inf'"),
         ("headword,sfi,u,d\nfoo,50,1,1e999\n", "row 2: d '1e999'"),
         ("foo,-Infinity\n", "row 1: sfi '-Infinity'"),
+        ("\nheadword,sfi\nfoo,nan\n", "row 3: sfi 'nan'"),  # CSV rows, blank ones too
     ])
     def test_non_finite_values_are_input_errors(self, text, where):
         with pytest.raises(InputError, match=where):
@@ -132,6 +133,23 @@ class TestReadWordList:
         with caplog.at_level("WARNING"):
             lc.read_word_list(io.StringIO("foo,150\nbar,50,1,2\n"))
         assert len(caplog.messages) == 2
+
+    def test_out_of_range_values_are_counted_per_kind(self, caplog):
+        text = "headword,sfi,u,d\n" + "".join(f"w{i},-{i},1,{i + 2}\n" for i in range(1000))
+        with caplog.at_level("WARNING"):
+            wl = lc.read_word_list(io.StringIO(text))
+        assert len(wl) == 1000 and wl[3] == lc.WordListEntry("w3", -3.0, 1.0, 5.0)
+        assert caplog.messages == [
+            "999 row(s) hold a frequency index outside [0, 100]; first rows: 3, 4, 5, 6, 7",
+            "1000 row(s) hold a dispersion outside [0, 1]; first rows: 2, 3, 4, 5, 6"]
+
+    @pytest.mark.parametrize("text", ["headword,sfi,u,d\nfoo,60.5,100,0.9\nbar,20,3,0.1\n",
+                                      "word\nfoo\nbar\n", "foo,60.5\nbar,20\n"])
+    def test_leading_blank_rows_keep_the_entries(self, text):
+        want = lc.read_word_list(io.StringIO(text))
+        assert len(want) == 2
+        assert lc.read_word_list(io.StringIO("\n" + text)) == want
+        assert lc.read_word_list(io.StringIO("\r\n , \n" + text)) == want
 
 
 class TestStemMerge:
