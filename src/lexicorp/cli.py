@@ -7,7 +7,6 @@ Exit codes: 0 success (warnings allowed), 1 usage error, 2 input error,
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import logging
@@ -32,10 +31,10 @@ def _load_cfg(config_dir, min_len=PipelineConfig.min_len, max_len=PipelineConfig
     return load_config(config_dir, min_len=min_len, max_len=max_len)
 
 
-def _manifest(*args, **kwargs) -> RunManifest:
-    """A manifest recording the argv `main` parsed, else the command's name."""
+def _manifest(*inputs, **kwargs) -> RunManifest:
+    """A manifest of `inputs` recording the argv `main` parsed, else the command's name."""
     ctx = click.get_current_context()
-    return RunManifest(ctx.obj or [ctx.info_name], *args, **kwargs)
+    return RunManifest(ctx.obj or [ctx.info_name], inputs, **kwargs)
 
 
 # Options of more than one command; click checks them before any file is read.
@@ -56,6 +55,16 @@ def _write_lines(path, lines) -> None:
             f.write(line + "\n")
 
 
+def _write_log(path, lines, warning) -> None:
+    """Write a skip log and warn with its count; with no lines, remove the
+    stale log an earlier run into the same place left."""
+    if lines:
+        _write_lines(path, lines)
+        click.echo(f"warning: {len(lines)} {warning}", err=True)
+    else:
+        Path(path).unlink(missing_ok=True)
+
+
 @click.group()
 def cli():
     """Corpus cleaning, dictionary building and word-list comparison."""
@@ -71,22 +80,10 @@ def cli():
 def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
     """Clean a tab-delimited export into a canonical corpus file."""
     cfg = _load_cfg(config_dir, min_len, max_len)
-    manifest = _manifest(cfg.config_hash())
-    manifest.add_input(input_path)
-
+    manifest = _manifest(input_path, config_hash=cfg.config_hash())
     out = Path(out_dir)
-    with open(input_path, encoding="utf-8") as f:
-        created = [d for d in (out, *out.parents) if not d.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            with atomic_open(out / "corpus.tsv") as corpus:
-                lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
-        except BaseException:
-            # atomic_open removed its temporary file, so these are empty again.
-            for d in created:
-                with contextlib.suppress(OSError):
-                    d.rmdir()
-            raise
+    with open(input_path, encoding="utf-8") as f, atomic_open(out / "corpus.tsv") as corpus:
+        lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
     with atomic_open(out / "ingest_report.tsv") as f:
         for key, value in vars(report).items():
             f.write(f"{key}\t{value}\n")
@@ -95,12 +92,9 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
             f.write(f"mean_length\t{mean:.3f}\n")
     _write_lines(out / "lengths.csv",
                  ["length,documents", *(f"{n},{lengths[n]}" for n in sorted(lengths))])
-    if errors:
-        _write_lines(out / "ingest_errors.log", (f"line {e.line_no}\t{e.reason}" for e in errors))
-        click.echo(f"warning: {len(errors)} malformed row(s) skipped, "
-                   f"see {out / 'ingest_errors.log'}", err=True)
-    else:  # A log from an earlier run into the same --out would be stale.
-        (out / "ingest_errors.log").unlink(missing_ok=True)
+    log = out / "ingest_errors.log"
+    _write_log(log, [f"line {e.line_no}\t{e.reason}" for e in errors],
+               f"malformed row(s) skipped, see {log}")
     manifest.write(out / "manifest.json")
     click.echo(f"{report.n_after_length_filter} documents written to {out / 'corpus.tsv'}")
 
@@ -113,8 +107,7 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
     """Build the full word dictionary from a canonical corpus file."""
     # `pipeline` passes its length bounds, which are part of the config hash.
     cfg = _load_cfg(config_dir, **bounds)
-    manifest = _manifest(cfg.config_hash())
-    manifest.add_input(corpus_path)
+    manifest = _manifest(corpus_path, config_hash=cfg.config_hash())
     corpus_id = manifest.inputs[str(corpus_path)][:12]
     empty_docs = []
 
@@ -126,22 +119,15 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
             if tokens:
                 yield tokens
             else:
-                empty_docs.append((i, cells[ingest.TITLE]))
+                empty_docs.append(f"record {i}\tno tokens after processing\t{cells[ingest.TITLE]}")
 
     with open(corpus_path, encoding="utf-8") as f:
         d = dictionary.build(token_lists(ingest.parse_records(f)),
                              corpus_id=corpus_id, config_hash=cfg.config_hash())
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     dictionary.save(d, out)
-    skipped = Path(str(out) + ".skipped.log")
-    if empty_docs:
-        _write_lines(skipped, (f"record {i}\tno tokens after processing\t{title}"
-                               for i, title in empty_docs))
-        click.echo(f"warning: {len(empty_docs)} document(s) produced no tokens", err=True)
-    else:
-        skipped.unlink(missing_ok=True)
-    manifest.write(str(out) + ".manifest.json")
+    _write_log(f"{out}.skipped.log", empty_docs, "document(s) produced no tokens")
+    manifest.write(f"{out}.manifest.json")
     click.echo(f"{len(d)} words written to {out}")
 
 
@@ -151,15 +137,12 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_prune(dict_path, threshold, out_path):
     """Drop words appearing in too few documents."""
-    manifest = _manifest()
-    manifest.add_input(dict_path)
+    manifest = _manifest(dict_path)
     d = dictionary.load(dict_path)
     manifest.config_hash = d.provenance.config_hash
     pruned = dictionary.prune(d, threshold)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dictionary.save(pruned, out)
-    manifest.write(str(out) + ".manifest.json")
+    dictionary.save(pruned, out_path)
+    manifest.write(f"{out_path}.manifest.json")
     click.echo(f"{len(d)} -> {len(pruned)} words (threshold {threshold})")
 
 
@@ -184,14 +167,12 @@ def _parse_range(text):
 def cmd_stats(dict_path, fit_range, out_dir):
     """Histogram, cumulative and tail curves plus the power-law fit."""
     rng = _parse_range(fit_range)
-    manifest = _manifest()
-    manifest.add_input(dict_path)
+    manifest = _manifest(dict_path)
     d = dictionary.load(dict_path)
     manifest.config_hash = d.provenance.config_hash
     if not len(d):
         raise InputError("empty dictionary")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     hist = lexstats.histogram(d)
     cum = lexstats.cumulative(hist)
@@ -253,9 +234,7 @@ def _int_list(minimum, ctx, param, text):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     """Coverage, overlap and rank agreement against a headword list."""
-    manifest = _manifest()
-    manifest.add_input(dict_path)
-    manifest.add_input(wordlist_path)
+    manifest = _manifest(dict_path, wordlist_path)
     d = dictionary.load(dict_path)
     manifest.config_hash = d.provenance.config_hash
     with open(wordlist_path, encoding="utf-8-sig") as f:
@@ -265,7 +244,6 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     stemmed = listcompare.stem_merge(raw_list)
     report = listcompare.compare(d, stemmed, widths=widths, tops=tops, fragment_ks=fragments)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_comparison(report, out)
     manifest.write(out / "manifest.json")
     click.echo(f"coverage {report.coverage_count}/{report.n_stems} "
@@ -327,20 +305,20 @@ def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
     """Generate a synthetic corpus with Zipfian word frequencies."""
-    # FloatRange lets nan through, which the generator refuses only after opening --out.
+    # FloatRange lets nan through; the generator would refuse it only while
+    # writing, as a computation error (exit 3), not as a usage error (exit 1).
     if math.isnan(zipf):
         raise click.BadParameter("nan is not a number.", param_hint="'--zipf'")
     manifest = _manifest(seed=seed)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     documents = lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len)
     rows = ([
         "Synthetic, A", f"Synthetic document doc{i}", " ".join(tokens),
         "Synthetic", "Synthetic", "0", "0",
     ] for i, tokens in enumerate(documents, 1))
+    out = Path(out_path)
     with atomic_open(out) as f:
         ingest.write_corpus(rows, f)
-    manifest.write(str(out) + ".manifest.json")
+    manifest.write(f"{out}.manifest.json")
     click.echo(f"{docs} synthetic documents written to {out}")
 
 
@@ -350,7 +328,7 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
 def cmd_dump_config(config_dir, out_dir):
     """Write the active rule tables as editable config files."""
     cfg = _load_cfg(config_dir)
-    manifest = _manifest(cfg.config_hash())
+    manifest = _manifest(config_hash=cfg.config_hash())
     written = dump_config(cfg, out_dir)
     for path in written:
         click.echo(str(path))

@@ -156,7 +156,6 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
 def dump_config(config: PipelineConfig, directory: str | os.PathLike) -> list[Path]:
     """Write the four rule tables as plain-text files; returns the paths."""
     d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
     tables_out = {
         "prefixes": config.prefixes,
         "substitutions": (f"{k}\t{v}" for k, v in config.substitutions),

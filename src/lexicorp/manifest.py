@@ -25,16 +25,15 @@ def file_digest(path) -> str:
 
 
 class RunManifest:
-    def __init__(self, command: list[str], config_hash: str = "", seed: int | None = None):
+    def __init__(self, command: list[str], inputs=(), config_hash: str = "",
+                 seed: int | None = None):
         self.command = list(command)
+        self.started = _dt.datetime.now(_dt.timezone.utc).isoformat()
+        # Hashed now, before the command writes an output that may replace one.
+        self.inputs = {str(p): file_digest(p) for p in inputs}
         self.config_hash = config_hash
         self.seed = seed
-        self.inputs: dict[str, str] = {}
-        self.started = _dt.datetime.now(_dt.timezone.utc).isoformat()
         self.finished: str | None = None
-
-    def add_input(self, path) -> None:
-        self.inputs[str(path)] = file_digest(path)
 
     def write(self, path) -> None:
         self.finished = _dt.datetime.now(_dt.timezone.utc).isoformat()

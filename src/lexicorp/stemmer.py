@@ -274,4 +274,4 @@ def stem(token: str) -> str:
     """
     if not token.isascii() or _DIGIT(token):
         return token
-    return _porter2(token.lower())
+    return _porter2(token if token.islower() else token.lower())

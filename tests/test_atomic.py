@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from lexicorp import atomic
 
 
@@ -25,3 +27,39 @@ def test_fsync_comes_before_rename(tmp_path, monkeypatch):
     assert calls == [("fsync", "text", False), ("replace", str(tmp), str(path))]
     assert path.read_text(encoding="utf-8") == "text"
     assert not tmp.exists()
+
+
+def test_makes_the_directories_the_path_lacks(tmp_path):
+    path = tmp_path / "a" / "b" / "f.txt"
+    with atomic.atomic_open(path) as f:
+        f.write("text")
+    assert path.read_text(encoding="utf-8") == "text"
+
+
+def tree(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+def fail_writing(path, also=None):
+    with pytest.raises(RuntimeError), atomic.atomic_open(path) as f:
+        f.write("partial")
+        if also:
+            also.write_text("x", encoding="utf-8")
+        raise RuntimeError
+
+
+def test_failure_removes_the_directories_it_made(tmp_path):
+    fail_writing(tmp_path / "a" / "b" / "f.txt")
+    assert tree(tmp_path) == []
+
+
+def test_failure_keeps_a_directory_that_was_there(tmp_path):
+    (tmp_path / "a").mkdir()
+    fail_writing(tmp_path / "a" / "b" / "f.txt")
+    assert tree(tmp_path) == ["a"]
+
+
+def test_failure_keeps_a_directory_it_made_that_holds_another_file(tmp_path):
+    a = tmp_path / "a"
+    fail_writing(a / "b" / "f.txt", also=a / "other.txt")
+    assert tree(tmp_path) == ["a", "a/other.txt"]

@@ -290,6 +290,14 @@ class TestBuildAndPrune:
         assert pruned.words() == ["w12"]
         assert pruned.provenance.threshold == 10
 
+    def test_prune_in_place_records_the_digest_it_read(self, tmp_path):
+        dict_path = tmp_path / "d.tsv"
+        dct.save(dictionary_of([("w12", 12, 12), ("w3", 3, 3)]), dict_path)
+        before = file_digest(dict_path)
+        assert main(["prune", str(dict_path), "--out", str(dict_path)]) == 0
+        inputs = json.loads(read(str(dict_path) + ".manifest.json"))["inputs"]
+        assert inputs == {str(dict_path): before} and file_digest(dict_path) != before
+
     def test_prune_default_threshold_is_ten(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
         rows = [(f"w{c:02d}", c, c) for c in (11, 10, 9)]
@@ -721,6 +729,16 @@ class TestGen:
         assert main(["gen", "--docs", "5", "--zipf", zipf, "--out", str(out)]) == 1
         assert "'--zipf'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failing_generator_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
+        def one_then_fail(*args):
+            yield ["w1"] * 3
+            raise ValueError("generator failed")
+
+        monkeypatch.setattr(lexstats, "gen_synthetic_corpus", one_then_fail)
+        assert main(["gen", "--docs", "5", "--out", str(tmp_path / "a" / "b" / "x.tsv")]) == 3
+        assert "generator failed" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_drawing_in_blocks_keeps_the_corpus(self, tmp_path, block):

@@ -512,6 +512,12 @@ def test_save_refuses_a_word_load_would_split(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_makes_a_missing_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "d.tsv"
+    dct.save(dictionary_of([("w", 2, 3)]), path)
+    assert rows_of(dct.load(path)) == [("w", 2, 3)]
+
+
 # Differential test of the chunk parser against the one in
 # dictionary_reference, which split each chunk into one string per cell.
 

@@ -328,6 +328,14 @@ def custom_config(tmp_path_factory):
     return load_config(d)
 
 
+def test_memo_entry_that_stems_to_itself_holds_its_key():
+    cfg = PipelineConfig()  # a memo of its own
+    pl.process_document("research data", cfg)
+    memo = pl._token_memo(cfg)
+    key = next(k for k in memo if k == "research")
+    assert memo[key] == ("research",) and memo[key][0] is key
+
+
 def test_memo_is_per_config(custom_config):
     text = "Giga-watt and mega-watt anti-viral"
     for _ in range(2):

@@ -40,6 +40,12 @@ def test_digit_tokens_pass_through(word):
     assert stem(word) == word
 
 
+@pytest.mark.parametrize("word", ["research", "data"])
+def test_a_lowercase_word_no_rule_changes_is_returned_itself(word):
+    # Not a lowercased copy, which the token memo would hold as a second string.
+    assert stem(word) is word
+
+
 def test_non_ascii_tokens_pass_through():
     assert stem("résultat") == "résultat"
     assert stem("café") == "café"
