@@ -16,11 +16,10 @@ from pathlib import Path
 
 import click
 
-from . import dictionary, ingest, lexstats, listcompare
-from .atomic import atomic_open
+from . import dictionary, ingest, lexstats, listcompare, manifest
+from .atomic import atomic_open, remove, write_lines
 from .config import PRUNE_THRESHOLD, InputError, PipelineConfig, dump_config, load_config
 from .dictionary import DictionaryFormatError
-from .manifest import RunManifest
 from .pipeline import process_document
 
 
@@ -31,10 +30,10 @@ def _load_cfg(config_dir, min_len=PipelineConfig.min_len, max_len=PipelineConfig
     return load_config(config_dir, min_len=min_len, max_len=max_len)
 
 
-def _manifest(*inputs, **kwargs) -> RunManifest:
-    """A manifest of `inputs` recording the argv `main` parsed, else the command's name."""
+def _run(path, *inputs, **kwargs):
+    """`manifest.run` of `inputs` recording the argv `main` parsed, else the command's name."""
     ctx = click.get_current_context()
-    return RunManifest(ctx.obj or [ctx.info_name], inputs, **kwargs)
+    return manifest.run(path, ctx.obj or [ctx.info_name], inputs, **kwargs)
 
 
 # Options of more than one command; click checks them before any file is read.
@@ -48,21 +47,14 @@ _threshold = click.option("--threshold", type=click.IntRange(min=0), default=PRU
                           show_default=True, help="Keep words in more than this many documents.")
 
 
-def _write_lines(path, lines) -> None:
-    """Write each line plus a newline to `path` through `atomic_open`."""
-    with atomic_open(path) as f:
-        for line in lines:
-            f.write(line + "\n")
-
-
 def _write_log(path, lines, warning) -> None:
     """Write a skip log and warn with its count; with no lines, remove the
     stale log an earlier run into the same place left."""
     if lines:
-        _write_lines(path, lines)
+        write_lines(path, lines)
         click.echo(f"warning: {len(lines)} {warning}", err=True)
     else:
-        Path(path).unlink(missing_ok=True)
+        remove(path)
 
 
 @click.group()
@@ -80,22 +72,20 @@ def cli():
 def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
     """Clean a tab-delimited export into a canonical corpus file."""
     cfg = _load_cfg(config_dir, min_len, max_len)
-    manifest = _manifest(input_path, config_hash=cfg.config_hash())
     out = Path(out_dir)
-    with open(input_path, encoding="utf-8") as f, atomic_open(out / "corpus.tsv") as corpus:
-        lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
-    with atomic_open(out / "ingest_report.tsv") as f:
-        for key, value in vars(report).items():
-            f.write(f"{key}\t{value}\n")
+    with _run(out / "manifest.json", input_path, config_hash=cfg.config_hash()):
+        with open(input_path, encoding="utf-8") as f, atomic_open(out / "corpus.tsv") as corpus:
+            lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
+        rows = [f"{key}\t{value}" for key, value in vars(report).items()]
         if lengths:
             mean = sum(n * k for n, k in lengths.items()) / report.n_after_length_filter
-            f.write(f"mean_length\t{mean:.3f}\n")
-    _write_lines(out / "lengths.csv",
-                 ["length,documents", *(f"{n},{lengths[n]}" for n in sorted(lengths))])
-    log = out / "ingest_errors.log"
-    _write_log(log, [f"line {e.line_no}\t{e.reason}" for e in errors],
-               f"malformed row(s) skipped, see {log}")
-    manifest.write(out / "manifest.json")
+            rows.append(f"mean_length\t{mean:.3f}")
+        write_lines(out / "ingest_report.tsv", rows)
+        write_lines(out / "lengths.csv",
+                    ["length,documents", *(f"{n},{lengths[n]}" for n in sorted(lengths))])
+        log = out / "ingest_errors.log"
+        _write_log(log, [f"line {e.line_no}\t{e.reason}" for e in errors],
+                   f"malformed row(s) skipped, see {log}")
     click.echo(f"{report.n_after_length_filter} documents written to {out / 'corpus.tsv'}")
 
 
@@ -107,8 +97,6 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
     """Build the full word dictionary from a canonical corpus file."""
     # `pipeline` passes its length bounds, which are part of the config hash.
     cfg = _load_cfg(config_dir, **bounds)
-    manifest = _manifest(corpus_path, config_hash=cfg.config_hash())
-    corpus_id = manifest.inputs[str(corpus_path)][:12]
     empty_docs = []
 
     def token_lists(records):
@@ -121,14 +109,14 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
             else:
                 empty_docs.append(f"record {i}\tno tokens after processing\t{cells[ingest.TITLE]}")
 
-    with open(corpus_path, encoding="utf-8") as f:
-        d = dictionary.build(token_lists(ingest.parse_records(f)),
-                             corpus_id=corpus_id, config_hash=cfg.config_hash())
-    out = Path(out_path)
-    dictionary.save(d, out)
-    _write_log(f"{out}.skipped.log", empty_docs, "document(s) produced no tokens")
-    manifest.write(f"{out}.manifest.json")
-    click.echo(f"{len(d)} words written to {out}")
+    with _run(f"{out_path}.manifest.json", corpus_path, config_hash=cfg.config_hash()) as run:
+        with open(corpus_path, encoding="utf-8") as f:
+            d = dictionary.build(token_lists(ingest.parse_records(f)),
+                                 corpus_id=run["inputs"][str(corpus_path)][:12],
+                                 config_hash=cfg.config_hash())
+        dictionary.save(d, out_path)
+        _write_log(f"{out_path}.skipped.log", empty_docs, "document(s) produced no tokens")
+    click.echo(f"{len(d)} words written to {out_path}")
 
 
 @cli.command("prune")
@@ -137,12 +125,11 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_prune(dict_path, threshold, out_path):
     """Drop words appearing in too few documents."""
-    manifest = _manifest(dict_path)
-    d = dictionary.load(dict_path)
-    manifest.config_hash = d.provenance.config_hash
-    pruned = dictionary.prune(d, threshold)
-    dictionary.save(pruned, out_path)
-    manifest.write(f"{out_path}.manifest.json")
+    with _run(f"{out_path}.manifest.json", dict_path) as run:
+        d = dictionary.load(dict_path)
+        run["config_hash"] = d.provenance.config_hash
+        pruned = dictionary.prune(d, threshold)
+        dictionary.save(pruned, out_path)
     click.echo(f"{len(d)} -> {len(pruned)} words (threshold {threshold})")
 
 
@@ -167,50 +154,42 @@ def _parse_range(text):
 def cmd_stats(dict_path, fit_range, out_dir):
     """Histogram, cumulative and tail curves plus the power-law fit."""
     rng = _parse_range(fit_range)
-    manifest = _manifest(dict_path)
-    d = dictionary.load(dict_path)
-    manifest.config_hash = d.provenance.config_hash
-    if not len(d):
-        raise InputError("empty dictionary")
     out = Path(out_dir)
+    with _run(out / "manifest.json", dict_path) as run:
+        d = dictionary.load(dict_path)
+        run["config_hash"] = d.provenance.config_hash
+        if not len(d):
+            raise InputError("empty dictionary")
 
-    hist = lexstats.histogram(d)
-    cum = lexstats.cumulative(hist)
-    tail = lexstats.tail(hist)
+        hist = lexstats.histogram(d)
+        cum = lexstats.cumulative(hist)
+        tail = lexstats.tail(hist)
 
-    _write_lines(out / "histogram.csv",
-                 ["documents,words", *(f"{n},{hist.counts[n]}" for n in sorted(hist.counts))])
-    _write_lines(out / "cumulative.csv",
-                 ["documents,words_at_or_below", *(f"{n},{g}" for n, g in cum)])
+        write_lines(out / "histogram.csv",
+                    ["documents,words", *(f"{n},{hist.counts[n]}" for n in sorted(hist.counts))])
+        write_lines(out / "cumulative.csv",
+                    ["documents,words_at_or_below", *(f"{n},{g}" for n, g in cum)])
 
-    fit = None
-    fit_error = None
-    try:
-        fit = lexstats.fit_pareto(tail, rng)
-    except ValueError as e:
-        fit_error = str(e)
-        click.echo(f"warning: tail fit skipped ({e})", err=True)
+        try:
+            fit = lexstats.fit_pareto(tail, rng)
+        except ValueError as e:
+            fit, summary = None, [f"fit\tunavailable ({e})"]
+            click.echo(f"warning: tail fit skipped ({e})", err=True)
 
-    _write_lines(out / "tail.csv", ["documents,words_above,fitted", *(
-        f"{x},{n_x}," + (f"{fit.beta / x ** fit.alpha:.6f}" if fit else "")
-        for x, n_x in tail.points)])
-    _write_lines(out / "tail_loglog.csv", ["documents,words_above,log_documents,log_words_above", *(
-        f"{x},{n_x},{math.log(x):.9f},{math.log(n_x):.9f}" for x, n_x in tail.points if n_x > 0)])
+        write_lines(out / "tail.csv", ["documents,words_above,fitted", *(
+            f"{x},{n_x}," + (f"{fit.beta / x ** fit.alpha:.6f}" if fit else "")
+            for x, n_x in tail.points)])
+        write_lines(out / "tail_loglog.csv", ["documents,words_above,log_documents,log_words_above",
+                    *(f"{x},{n_x},{math.log(x):.9f},{math.log(n_x):.9f}"
+                      for x, n_x in tail.points if n_x > 0)])
 
-    with atomic_open(out / "pareto_fit.txt") as f:
-        f.write(f"requested_range\t{fit_range if fit_range else 'full positive tail'}\n")
         if fit:
-            f.write(f"alpha\t{fit.alpha:.6f}\n")
-            f.write(f"beta\t{fit.beta:.6f}\n")
-            f.write(f"mse\t{fit.mse:.6f}\n")
-            f.write(f"fit_range\t{fit.fit_range[0]:g}:{fit.fit_range[1]:g}\n")
-            f.write(f"x_m\t{fit.x_m:g}\n")
-            f.write(f"n_points\t{fit.n_points}\n")
-            slope = lexstats.loglog_slope(tail, rng)
-            f.write(f"loglog_slope\t{slope:.6f}\n")
-        else:
-            f.write(f"fit\tunavailable ({fit_error})\n")
-    manifest.write(out / "manifest.json")
+            summary = [f"alpha\t{fit.alpha:.6f}", f"beta\t{fit.beta:.6f}", f"mse\t{fit.mse:.6f}",
+                       f"fit_range\t{fit.fit_range[0]:g}:{fit.fit_range[1]:g}",
+                       f"x_m\t{fit.x_m:g}", f"n_points\t{fit.n_points}",
+                       f"loglog_slope\t{lexstats.loglog_slope(tail, rng):.6f}"]
+        write_lines(out / "pareto_fit.txt", [
+            f"requested_range\t{fit_range if fit_range else 'full positive tail'}", *summary])
     if fit:
         click.echo(f"alpha={fit.alpha:.4f} beta={fit.beta:.1f} mse={fit.mse:.1f}")
 
@@ -234,45 +213,44 @@ def _int_list(minimum, ctx, param, text):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
     """Coverage, overlap and rank agreement against a headword list."""
-    manifest = _manifest(dict_path, wordlist_path)
-    d = dictionary.load(dict_path)
-    manifest.config_hash = d.provenance.config_hash
-    with open(wordlist_path, encoding="utf-8-sig") as f:
-        raw_list = listcompare.read_word_list(f)
-    if not len(raw_list):
-        raise InputError("empty word list")
-    stemmed = listcompare.stem_merge(raw_list)
-    report = listcompare.compare(d, stemmed, widths=widths, tops=tops, fragment_ks=fragments)
     out = Path(out_dir)
-    _write_comparison(report, out)
-    manifest.write(out / "manifest.json")
+    with _run(out / "manifest.json", dict_path, wordlist_path) as run:
+        d = dictionary.load(dict_path)
+        run["config_hash"] = d.provenance.config_hash
+        with open(wordlist_path, encoding="utf-8-sig") as f:
+            raw_list = listcompare.read_word_list(f)
+        if not len(raw_list):
+            raise InputError("empty word list")
+        stemmed = listcompare.stem_merge(raw_list)
+        report = listcompare.compare(d, stemmed, widths=widths, tops=tops, fragment_ks=fragments)
+        _write_comparison(report, out)
     click.echo(f"coverage {report.coverage_count}/{report.n_stems} "
                f"({report.coverage_pct:.1%})")
 
 
 def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
-    _write_lines(out / "coverage.tsv", [
+    write_lines(out / "coverage.tsv", [
         "headwords\tstems\tcovered\tcoverage_pct",
         f"{report.n_headwords}\t{report.n_stems}\t{report.coverage_count}"
         f"\t{report.coverage_pct:.1%}",
         *(f"missing\t{w}" for w in report.missing_words)])
-    _write_lines(out / "fragments.tsv", ["fragment_size\tfound\tpct\tnewly_added", *(
+    write_lines(out / "fragments.tsv", ["fragment_size\tfound\tpct\tnewly_added", *(
         f"{k}\t{found}\t{pct:.1%}\t{', '.join(added)}"
         for k, found, pct, added in report.fragment_table)])
-    _write_lines(out / "last_position.tsv", ["list_fragment\tlast_position\tpct_of_dictionary", *(
+    write_lines(out / "last_position.tsv", ["list_fragment\tlast_position\tpct_of_dictionary", *(
         f"{m}\t{pos}\t{pct:.1%}" for m, pos, pct in report.last_position_table)])
     n = len(report.common_words)
-    _write_lines(out / "interval_overlaps.tsv", ["width\tintervals\toverlap_pct", *(
+    write_lines(out / "interval_overlaps.tsv", ["width\tintervals\toverlap_pct", *(
         f"{w}\t{-(-n // w)}\t{frac:.1%}"
         for w, frac in sorted(report.interval_overlaps.items()))])
-    _write_lines(out / "top_bottom_overlap.tsv", ["n\ttop_common\tbottom_common", *(
+    write_lines(out / "top_bottom_overlap.tsv", ["n\ttop_common\tbottom_common", *(
         f"{k}\t{report.top_overlap[k]}\t{report.bottom_overlap[k]}"
         for k in sorted(report.top_overlap))])
     correlations = (("PCC", report.pcc), ("SRC", report.src), ("PCC-log", report.pcc_log))
-    _write_lines(out / "correlations.tsv", ["test\tstatistic", *(
+    write_lines(out / "correlations.tsv", ["test\tstatistic", *(
         f"{name}\t{value:.2f}" for name, value in correlations if value is not None)])
-    _write_lines(out / "same_rank.tsv",
-                 ["word\tposition", *(f"{w}\t{pos}" for w, pos in report.same_rank_words)])
+    write_lines(out / "same_rank.tsv",
+                ["word\tposition", *(f"{w}\t{pos}" for w, pos in report.same_rank_words)])
     summary = {
         "headwords": report.n_headwords,
         "stems": report.n_stems,
@@ -289,8 +267,7 @@ def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
         "interval_overlap_pct": {str(k): round(v * 100, 1)
                                  for k, v in sorted(report.interval_overlaps.items())},
     }
-    with atomic_open(out / "summary.json") as f:
-        f.write(json.dumps(summary, indent=2) + "\n")
+    write_lines(out / "summary.json", [json.dumps(summary, indent=2)])
 
 
 @cli.command("gen")
@@ -309,17 +286,14 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
     # writing, as a computation error (exit 3), not as a usage error (exit 1).
     if math.isnan(zipf):
         raise click.BadParameter("nan is not a number.", param_hint="'--zipf'")
-    manifest = _manifest(seed=seed)
     documents = lexstats.gen_synthetic_corpus(vocab, docs, zipf, seed, doc_len)
     rows = ([
         "Synthetic, A", f"Synthetic document doc{i}", " ".join(tokens),
         "Synthetic", "Synthetic", "0", "0",
     ] for i, tokens in enumerate(documents, 1))
-    out = Path(out_path)
-    with atomic_open(out) as f:
+    with _run(f"{out_path}.manifest.json", seed=seed), atomic_open(out_path) as f:
         ingest.write_corpus(rows, f)
-    manifest.write(f"{out}.manifest.json")
-    click.echo(f"{docs} synthetic documents written to {out}")
+    click.echo(f"{docs} synthetic documents written to {out_path}")
 
 
 @cli.command("dump-config")
@@ -328,11 +302,10 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
 def cmd_dump_config(config_dir, out_dir):
     """Write the active rule tables as editable config files."""
     cfg = _load_cfg(config_dir)
-    manifest = _manifest(config_hash=cfg.config_hash())
-    written = dump_config(cfg, out_dir)
+    with _run(Path(out_dir) / "manifest.json", config_hash=cfg.config_hash()):
+        written = dump_config(cfg, out_dir)
     for path in written:
         click.echo(str(path))
-    manifest.write(Path(out_dir) / "manifest.json")
 
 
 @cli.command("pipeline")

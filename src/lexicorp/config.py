@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from . import tables
-from .atomic import atomic_open
+from .atomic import write_lines
 
 # The fixed order of the pipeline steps, hashed into config_hash().
 CANONICAL_STEP_ORDER = (
@@ -162,10 +162,6 @@ def dump_config(config: PipelineConfig, directory: str | os.PathLike) -> list[Pa
         "stop_words": config.stop_words,
         "headings": config.headings,
     }
-    written = []
     for name, lines in tables_out.items():
-        p = d / CONFIG_FILES[name]
-        with atomic_open(p) as f:
-            f.write("\n".join(lines) + "\n")
-        written.append(p)
-    return written
+        write_lines(d / CONFIG_FILES[name], lines)
+    return [d / CONFIG_FILES[name] for name in tables_out]

@@ -8,12 +8,13 @@ data outputs themselves stay byte-identical across reruns.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import hashlib
 import json
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import output_set, write_lines
 
 
 def file_digest(path) -> str:
@@ -24,27 +25,22 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-class RunManifest:
-    def __init__(self, command: list[str], inputs=(), config_hash: str = "",
-                 seed: int | None = None):
-        self.command = list(command)
-        self.started = _dt.datetime.now(_dt.timezone.utc).isoformat()
-        # Hashed now, before the command writes an output that may replace one.
-        self.inputs = {str(p): file_digest(p) for p in inputs}
-        self.config_hash = config_hash
-        self.seed = seed
-        self.finished: str | None = None
-
-    def write(self, path) -> None:
-        self.finished = _dt.datetime.now(_dt.timezone.utc).isoformat()
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "tool_version": __version__,
-            "started": self.started,
-            "finished": self.finished,
-        }
-        with atomic_open(path) as f:
-            f.write(json.dumps(payload, indent=2) + "\n")
+@contextlib.contextmanager
+def run(path, command, inputs=(), config_hash: str = "", seed: int | None = None):
+    """Write a command's outputs as one `output_set`, its manifest at `path`
+    last. The inputs are hashed on entry, before an output may replace one;
+    the block may fill in the yielded manifest, a plain dict."""
+    started = _dt.datetime.now(_dt.timezone.utc).isoformat()  # before the hashing
+    manifest = {
+        "command": list(command),
+        "inputs": {str(p): file_digest(p) for p in inputs},
+        "config_hash": config_hash,
+        "seed": seed,
+        "tool_version": __version__,
+        "started": started,
+        "finished": None,
+    }
+    with output_set():
+        yield manifest
+        manifest["finished"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
+        write_lines(path, [json.dumps(manifest, indent=2)])

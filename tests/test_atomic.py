@@ -1,8 +1,9 @@
 import os
+from pathlib import Path
 
 import pytest
 
-from lexicorp import atomic
+from lexicorp import atomic, manifest
 
 
 def test_fsync_comes_before_rename(tmp_path, monkeypatch):
@@ -63,3 +64,51 @@ def test_failure_keeps_a_directory_it_made_that_holds_another_file(tmp_path):
     a = tmp_path / "a"
     fail_writing(a / "b" / "f.txt", also=a / "other.txt")
     assert tree(tmp_path) == ["a", "a/other.txt"]
+
+
+def test_a_set_renames_in_open_order_with_the_manifest_last(tmp_path, monkeypatch):
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(atomic.os, "replace", replace)
+    with manifest.run(tmp_path / "manifest.json", ["cmd"]):
+        atomic.write_lines(tmp_path / "b.txt", ["b"])
+        with atomic.atomic_open(tmp_path / "a.txt") as f:
+            f.write("a")
+        assert renamed == [] and tree(tmp_path) == ["a.txt.tmp", "b.txt.tmp"]
+    assert renamed == ["b.txt", "a.txt", "manifest.json"]
+    assert tree(tmp_path) == ["a.txt", "b.txt", "manifest.json"]
+
+
+def test_a_removal_runs_only_when_the_set_ends_normally(tmp_path):
+    old = tmp_path / "old.log"
+    old.write_text("x", encoding="utf-8")
+    with pytest.raises(RuntimeError), atomic.output_set():
+        atomic.remove(old)
+        raise RuntimeError
+    assert old.exists()
+    with atomic.output_set():
+        atomic.remove(old)
+        assert old.exists()
+    assert not old.exists()
+
+
+def test_a_failed_set_removes_its_directories_deepest_first(tmp_path, monkeypatch):
+    removed = []
+    real_rmdir = Path.rmdir
+
+    def rmdir(self):
+        removed.append(self.relative_to(tmp_path).as_posix())
+        real_rmdir(self)
+
+    monkeypatch.setattr(Path, "rmdir", rmdir)
+    with pytest.raises(RuntimeError), atomic.output_set():
+        atomic.write_lines(tmp_path / "a" / "b" / "f.txt", ["f"])
+        atomic.write_lines(tmp_path / "a" / "b" / "c" / "g.txt", ["g"])
+        raise RuntimeError
+    assert removed == ["a/b/c", "a/b", "a"]
+    assert tree(tmp_path) == []

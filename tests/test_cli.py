@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import lexicorp
 from conftest import dictionary_of, rows_of
+from lexicorp import cli
 from lexicorp import dictionary as dct
 from lexicorp import lexstats
 from lexicorp.cli import main
@@ -26,6 +28,31 @@ from lexicorp.manifest import file_digest
 
 def read(path):
     return Path(path).read_text(encoding="utf-8")
+
+
+def snapshot(root):
+    """The bytes of every file under `root`, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in Path(root).rglob("*") if p.is_file()}
+
+
+def fail_slope(*args):
+    raise ValueError("slope failed")
+
+
+def fail_on_call(n, write_lines):
+    """`write_lines` whose `n`-th call raises OSError after writing one line."""
+    calls = itertools.count(1)
+
+    def disk_full():
+        raise OSError("disk full")
+        yield
+
+    def wrapper(path, lines):
+        if next(calls) == n:
+            lines = itertools.chain(["partial"], disk_full())
+        write_lines(path, lines)
+    return wrapper
 
 
 class TestIngest:
@@ -280,6 +307,27 @@ class TestBuildAndPrune:
             "d.tsv", "d.tsv.manifest.json"]
         assert dict_path.read_bytes() == fresh_path.read_bytes()
 
+    def test_failing_rerun_keeps_the_previous_set(self, tmp_path, monkeypatch, capsys):
+        header = "AU\tTI\tAB\tWC\tSC\tZ9\tTC\n"
+        good = "A\tGood\t" + "w1 " * 30 + "\tP\tS\t0\t0\n"
+        empty, clean = tmp_path / "empty.tsv", tmp_path / "clean.tsv"
+        empty.write_text(header + "A\tEmpty\tthe and or\tP\tS\t0\t0\n" + good, encoding="utf-8")
+        clean.write_text(header + good, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["build", str(empty), "--out", str(out / "d.tsv")]) == 0
+        before = snapshot(out)
+        assert sorted(before) == ["d.tsv", "d.tsv.manifest.json", "d.tsv.skipped.log"]
+        real_save = dct.save
+
+        def save_then_fail(d, path):
+            real_save(d, path)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dct, "save", save_then_fail)
+        assert main(["build", str(clean), "--out", str(out / "d.tsv")]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert snapshot(out) == before
+
     def test_prune_threshold_semantics(self, tmp_path):
         dict_path = tmp_path / "d.tsv"
         rows = [(f"w{c}", c, c) for c in (12, 10, 3)]
@@ -462,6 +510,30 @@ class TestStats:
         assert fit_range in capsys.readouterr().err
         assert not out.exists()
 
+    def power_law_dictionary(self, path, n_rare):
+        """A dictionary whose tail fit succeeds, so stats goes on to the log-log slope."""
+        rows = [(f"w{k}_{i}", 2**k, 2**k) for k in range(1, 13) for i in range(2 ** (12 - k))]
+        dct.save(dictionary_of(rows + [(f"rare{i}", 1, 1) for i in range(n_rare)]), path)
+
+    def test_failure_leaves_no_new_directory(self, tmp_path, monkeypatch, capsys):
+        dict_path = tmp_path / "d.tsv"
+        self.power_law_dictionary(dict_path, 100)
+        monkeypatch.setattr(lexstats, "loglog_slope", fail_slope)
+        assert main(["stats", str(dict_path), "--out", str(tmp_path / "a" / "b")]) == 3
+        assert "slope failed" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_failing_rerun_keeps_the_previous_set(self, tmp_path, monkeypatch):
+        dict_path, out = tmp_path / "d.tsv", tmp_path / "stats"
+        self.power_law_dictionary(dict_path, 100)
+        assert main(["stats", str(dict_path), "--out", str(out)]) == 0
+        before = snapshot(out)
+        assert len(before) == 6
+        self.power_law_dictionary(dict_path, 1)
+        monkeypatch.setattr(lexstats, "loglog_slope", fail_slope)
+        assert main(["stats", str(dict_path), "--out", str(out)]) == 3
+        assert snapshot(out) == before
+
 
 class TestCompare:
     def make_inputs(self, tmp_path):
@@ -587,6 +659,17 @@ class TestCompare:
         assert outputs[0] == outputs[1]
         assert b"missing\tzz\n" in outputs[1]["coverage.tsv"]
         assert json.loads(outputs[1]["summary.json"])["coverage_count"] == 3
+
+    def test_failing_rerun_keeps_the_previous_set(self, tmp_path, monkeypatch, capsys):
+        dict_path, wl_path = self.make_inputs(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 0
+        before = snapshot(out)
+        wl_path.write_text("headword,sfi\na,90\nb,80\nyy,70\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "write_lines", fail_on_call(5, cli.write_lines))
+        assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert snapshot(out) == before
 
     def test_manifest_records_the_dictionary_config_hash(self, tmp_path):
         dict_path, wl_path = self.make_inputs(tmp_path)
@@ -794,6 +877,14 @@ class TestDumpConfig:
         reloaded = load_config(out)
         assert reloaded.config_hash() == default_config().config_hash()
 
+    def test_failure_on_the_third_table_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        from lexicorp import config
+        monkeypatch.setattr(config, "write_lines", fail_on_call(3, config.write_lines))
+        out = tmp_path / "cfg"
+        assert main(["dump-config", "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
     def test_chained_run(self, tmp_path, export_file):
@@ -840,6 +931,28 @@ class TestPipelineCommand:
         assert all(m["command"] == args for m in manifests)
         # prune and stats record the config hash of the dictionary they read.
         assert [m["config_hash"] for m in manifests] == [want] * 4
+
+    def test_failing_stats_keeps_the_steps_before_it(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "synth.tsv"
+        assert main(["gen", "--docs", "200", "--vocab", "300", "--length", "40", "--seed", "1",
+                     "--out", str(corpus)]) == 0
+        whole, out = tmp_path / "whole", tmp_path / "run"
+        args = ["pipeline", str(corpus), "--threshold", "0", "--out"]
+        assert main(args + [str(whole)]) == 0
+        monkeypatch.setattr(lexstats, "loglog_slope", fail_slope)
+        assert main(args + [str(out)]) == 3
+        assert "slope failed" in capsys.readouterr().err
+        want = {name: data for name, data in snapshot(whole).items() if "/" not in name}
+        got = snapshot(out)
+        assert sorted(got) == sorted(want)
+        for name in got:
+            if name.endswith("manifest.json"):
+                manifest = json.loads(got[name])
+                assert manifest["command"] == args + [str(out)] and manifest["finished"]
+            else:
+                assert got[name] == want[name]
+        assert not (out / "stats").exists()
+        assert not list(out.rglob("*.tmp"))
 
     def test_default_bounds_build_as_the_build_command(self, tmp_path, export_file):
         out = tmp_path / "run"
