@@ -45,6 +45,9 @@ _max_len = click.option("--max-len", type=click.IntRange(min=1), default=Pipelin
                         show_default=True, help="Maximum abstract length in words.")
 _threshold = click.option("--threshold", type=click.IntRange(min=0), default=PRUNE_THRESHOLD,
                           show_default=True, help="Keep words in more than this many documents.")
+_out_dir = click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
+# A str, so that build, prune and gen echo the path as it was given.
+_out_file = click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 
 
 def _write_log(path, lines, warning) -> None:
@@ -68,11 +71,10 @@ def cli():
 @_config
 @_min_len
 @_max_len
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
+@_out_dir
+def cmd_ingest(input_path, config_dir, min_len, max_len, out):
     """Clean a tab-delimited export into a canonical corpus file."""
     cfg = _load_cfg(config_dir, min_len, max_len)
-    out = Path(out_dir)
     with _run(out / "manifest.json", input_path, config_hash=cfg.config_hash()):
         with open(input_path, encoding="utf-8") as f, atomic_open(out / "corpus.tsv") as corpus:
             lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
@@ -92,7 +94,7 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out_dir):
 @cli.command("build")
 @click.argument("corpus_path", type=click.Path(dir_okay=False))
 @_config
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
+@_out_file
 def cmd_build(corpus_path, config_dir, out_path, **bounds):
     """Build the full word dictionary from a canonical corpus file."""
     # `pipeline` passes its length bounds, which are part of the config hash.
@@ -122,7 +124,7 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
 @cli.command("prune")
 @click.argument("dict_path", type=click.Path(dir_okay=False))
 @_threshold
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
+@_out_file
 def cmd_prune(dict_path, threshold, out_path):
     """Drop words appearing in too few documents."""
     with _run(f"{out_path}.manifest.json", dict_path) as run:
@@ -150,11 +152,10 @@ def _parse_range(text):
 @click.argument("dict_path", type=click.Path(dir_okay=False))
 @click.option("--range", "fit_range", default=None,
               help="Restrict the tail fit to xmin:xmax.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def cmd_stats(dict_path, fit_range, out_dir):
+@_out_dir
+def cmd_stats(dict_path, fit_range, out):
     """Histogram, cumulative and tail curves plus the power-law fit."""
     rng = _parse_range(fit_range)
-    out = Path(out_dir)
     with _run(out / "manifest.json", dict_path) as run:
         d = dictionary.load(dict_path)
         run["config_hash"] = d.provenance.config_hash
@@ -210,13 +211,14 @@ def _int_list(minimum, ctx, param, text):
               help="Top/bottom-n sizes (comma-separated, each >= 0).")
 @click.option("--fragments", callback=functools.partial(_int_list, 1),
               help="Dictionary fragment sizes (comma-separated, each >= 1).")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out_dir):
+@_out_dir
+def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out):
     """Coverage, overlap and rank agreement against a headword list."""
-    out = Path(out_dir)
     with _run(out / "manifest.json", dict_path, wordlist_path) as run:
         d = dictionary.load(dict_path)
         run["config_hash"] = d.provenance.config_hash
+        if not len(d):
+            raise InputError("empty dictionary")
         with open(wordlist_path, encoding="utf-8-sig") as f:
             raw_list = listcompare.read_word_list(f)
         if not len(raw_list):
@@ -279,7 +281,7 @@ def _write_comparison(report: listcompare.ComparisonReport, out: Path) -> None:
 @click.option("--length", "doc_len", type=click.IntRange(min=1), default=200, show_default=True,
               help="Words per document.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
+@_out_file
 def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
     """Generate a synthetic corpus with Zipfian word frequencies."""
     # FloatRange lets nan through; the generator would refuse it only while
@@ -298,12 +300,12 @@ def cmd_gen(vocab, docs, zipf, doc_len, seed, out_path):
 
 @cli.command("dump-config")
 @_config
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def cmd_dump_config(config_dir, out_dir):
+@_out_dir
+def cmd_dump_config(config_dir, out):
     """Write the active rule tables as editable config files."""
     cfg = _load_cfg(config_dir)
-    with _run(Path(out_dir) / "manifest.json", config_hash=cfg.config_hash()):
-        written = dump_config(cfg, out_dir)
+    with _run(out / "manifest.json", config_hash=cfg.config_hash()):
+        written = dump_config(cfg, out)
     for path in written:
         click.echo(str(path))
 
@@ -314,19 +316,18 @@ def cmd_dump_config(config_dir, out_dir):
 @_min_len
 @_max_len
 @_threshold
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
+@_out_dir
 @click.pass_context
-def cmd_pipeline(ctx, input_path, config_dir, min_len, max_len, threshold, out_dir):
+def cmd_pipeline(ctx, input_path, config_dir, min_len, max_len, threshold, out):
     """Chain ingest, build, prune and stats over one input file."""
-    out = Path(out_dir)
     ctx.invoke(cmd_ingest, input_path=input_path, config_dir=config_dir,
-               min_len=min_len, max_len=max_len, out_dir=str(out))
+               min_len=min_len, max_len=max_len, out=out)
     ctx.invoke(cmd_build, corpus_path=str(out / "corpus.tsv"), config_dir=config_dir,
                out_path=str(out / "dictionary.tsv"), min_len=min_len, max_len=max_len)
     ctx.invoke(cmd_prune, dict_path=str(out / "dictionary.tsv"),
                threshold=threshold, out_path=str(out / "dictionary_pruned.tsv"))
     ctx.invoke(cmd_stats, dict_path=str(out / "dictionary_pruned.tsv"),
-               fit_range=None, out_dir=str(out / "stats"))
+               fit_range=None, out=out / "stats")
 
 
 def main(argv=None) -> int:

@@ -155,13 +155,7 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
 
 def dump_config(config: PipelineConfig, directory: str | os.PathLike) -> list[Path]:
     """Write the four rule tables as plain-text files; returns the paths."""
-    d = Path(directory)
-    tables_out = {
-        "prefixes": config.prefixes,
-        "substitutions": (f"{k}\t{v}" for k, v in config.substitutions),
-        "stop_words": config.stop_words,
-        "headings": config.headings,
-    }
-    for name, lines in tables_out.items():
-        write_lines(d / CONFIG_FILES[name], lines)
-    return [d / CONFIG_FILES[name] for name in tables_out]
+    paths = [Path(directory) / filename for filename in CONFIG_FILES.values()]
+    for name, path in zip(CONFIG_FILES, paths):  # a substitution pair as "key<TAB>value"
+        write_lines(path, (e if isinstance(e, str) else "\t".join(e) for e in getattr(config, name)))
+    return paths

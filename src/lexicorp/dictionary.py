@@ -91,10 +91,6 @@ class Dictionary:
     def words(self) -> list[str]:
         return self._text.split("\n") if self._text else []
 
-    def ranks(self) -> dict[str, int]:
-        """word -> 1-based rank in canonical order, built afresh on each call."""
-        return dict(zip(self.words(), range(1, len(self) + 1)))
-
 
 def _canonical(words: list[str], doc: np.ndarray, corpus: np.ndarray):
     """The three columns in canonical order, the words joined by "\\n":

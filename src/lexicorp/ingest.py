@@ -26,40 +26,27 @@ from .config import InputError, PipelineConfig, default_config
 
 logger = logging.getLogger(__name__)
 
-# Canonical column order of a corpus file.
-FIELD_ORDER = (
-    "authors",
-    "title",
-    "abstract",
-    "categories",
-    "research_areas",
-    "total_times_cited",
-    "times_cited_core",
+# One row per corpus column, in corpus order: field name, corpus-file
+# header, WoS field tag and kind ("list" cells split on ";", "count"
+# cells hold an integer).
+_COLUMNS = (
+    ("authors", "Authors", "AU", "list"),
+    ("title", "Title", "TI", ""),
+    ("abstract", "Abstract", "AB", ""),
+    ("categories", "Categories", "WC", "list"),
+    ("research_areas", "Research Areas", "SC", "list"),
+    ("total_times_cited", "Total Times Cited", "Z9", "count"),
+    ("times_cited_core", "Times Cited in CC", "TC", "count"),
 )
-
-# Positions in FIELD_ORDER: the cells that ingest and build read, and
-# the list cells (authors, categories, research areas).
-TITLE, ABSTRACT, CATEGORIES = 1, 2, 3
-_LIST_CELLS = (0, 3, 4)
-_COUNT_FIELDS = ("total_times_cited", "times_cited_core")
-
-# Accepted header spellings, lowercased.
-_HEADER_ALIASES = {
-    "au": "authors", "authors": "authors",
-    "ti": "title", "title": "title",
-    "ab": "abstract", "abstract": "abstract",
-    "wc": "categories", "categories": "categories",
-    "sc": "research_areas", "research areas": "research_areas",
-    "research_areas": "research_areas",
-    "z9": "total_times_cited", "total times cited": "total_times_cited",
-    "total_times_cited": "total_times_cited",
-    "tc": "times_cited_core", "times cited in cc": "times_cited_core",
-    "times_cited_core": "times_cited_core",
-}
-
-# The header line of a corpus file: FIELD_ORDER's full names.
-CORPUS_HEADER = ("Authors\tTitle\tAbstract\tCategories\tResearch Areas\t"
-                 "Total Times Cited\tTimes Cited in CC")
+FIELD_ORDER = tuple(name for name, _, _, _ in _COLUMNS)
+# Positions in FIELD_ORDER of the cells that ingest and build read.
+_, TITLE, ABSTRACT, CATEGORIES, *_ = range(len(_COLUMNS))
+_LIST_CELLS = tuple(i for i, (_, _, _, kind) in enumerate(_COLUMNS) if kind == "list")
+_COUNT_FIELDS = tuple(name for name, _, _, kind in _COLUMNS if kind == "count")
+# Accepted header spellings, lowercased: the tag, the header or the field name.
+_HEADER_ALIASES = {alias.lower(): name
+                   for name, header, tag, _ in _COLUMNS for alias in (tag, header, name)}
+CORPUS_HEADER = "\t".join(header for _, header, _, _ in _COLUMNS)
 
 
 @dataclass

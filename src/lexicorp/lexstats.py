@@ -137,8 +137,8 @@ def fit_pareto(curve: TailCurve, fit_range=None) -> ParetoFit:
     )
 
 
-# Documents `gen_synthetic_corpus` draws at a time, so its memory is flat in n_docs.
-_GEN_BLOCK = 1000
+# Tokens `gen_synthetic_corpus` draws at a time, so its memory is flat in n_docs and doc_len.
+_GEN_BLOCK = 200_000
 
 
 def gen_synthetic_corpus(
@@ -164,7 +164,8 @@ def gen_synthetic_corpus(
     probs /= probs.sum()
     width = len(str(vocab_size))
     words = [f"w{r:0{width}d}" for r in range(1, vocab_size + 1)]
-    for start in range(0, n_docs, _GEN_BLOCK):
-        size = (min(_GEN_BLOCK, n_docs - start), doc_len)
+    block = max(1, _GEN_BLOCK // doc_len)
+    for start in range(0, n_docs, block):
+        size = (min(block, n_docs - start), doc_len)
         for draws in rng.choice(vocab_size, size=size, p=probs):
             yield list(map(words.__getitem__, draws.tolist()))

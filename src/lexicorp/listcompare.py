@@ -205,9 +205,10 @@ def compare(
     if len(word_list) == 0:
         raise ValueError("empty word list")
     stems = [e.stem for e in word_list]
-    if len(set(stems)) != len(stems):
+    wanted = set(stems)
+    if len(wanted) != len(stems):
         raise ValueError("the word list must not repeat a stem")
-    ranks = d.ranks()
+    ranks = {w: r for r, w in enumerate(d.words(), 1) if w in wanted}
     rank = np.fromiter((ranks.get(s, 0) for s in stems), np.int64, len(stems))
     common = np.flatnonzero(rank)  # list positions of the common words
     common_rank = rank[common]

@@ -8,9 +8,10 @@
   it calls: `coverage`, `fragment_coverage`, `last_position`,
   `_positions`, `_interval_overlaps`, `_top_bottom_overlaps`,
   `same_rank_words`, `_fractional_ranks` and the three correlations.
-  It looks the stems up in `d.ranks()` once per table and sorts the
-  common words a second time for ordering B. One line differs: the
-  deleted `Dictionary.doc_counts()` is spelt out as the dict it built.
+  It looks the stems up in `rank_of(d)` once per table and sorts the
+  common words a second time for ordering B. Two lines differ: the
+  deleted `Dictionary.doc_counts()` is spelt out as the dict it built,
+  and the deleted `Dictionary.ranks()` is `rank_of` below.
 
 tests/test_listcompare.py checks `_interval_overlaps`,
 `_top_bottom_overlaps`, `_fractional_ranks` and `compare` against them.
@@ -27,6 +28,11 @@ from lexicorp.dictionary import Dictionary
 from lexicorp.listcompare import ComparisonReport, StemmedEntry
 
 logger = logging.getLogger(__name__)
+
+
+def rank_of(d: Dictionary) -> dict[str, int]:
+    """word -> 1-based rank in canonical order, built afresh on each call."""
+    return dict(zip(d.words(), range(1, len(d) + 1)))
 
 
 def interval_overlap(ranks_a: Sequence[str], ranks_b: Sequence[str], width: int) -> float:
@@ -84,7 +90,7 @@ def coverage(d: Dictionary, word_list: Sequence[StemmedEntry]) -> tuple[int, flo
     """(count, fraction, missing stems) of the list found in the dictionary."""
     if len(word_list) == 0:
         raise ValueError("empty word list")
-    vocab = d.ranks()
+    vocab = rank_of(d)
     present = [e.stem for e in word_list if e.stem in vocab]
     missing = [e.stem for e in word_list if e.stem not in vocab]
     return len(present), len(present) / len(word_list), missing
@@ -100,7 +106,7 @@ def fragment_coverage(
     Returns rows (k, found, fraction-of-list, words newly found since
     the previous fragment); k values beyond the dictionary are clamped.
     """
-    ranks = d.ranks()
+    ranks = rank_of(d)
     n_list = len(word_list)
     if n_list == 0:
         raise ValueError("empty word list")
@@ -128,7 +134,7 @@ def last_position(
     Rows are (m, max rank, fraction of the dictionary). Every stem must
     be in the dictionary and every m between 1 and len(common).
     """
-    ranks = d.ranks()
+    ranks = rank_of(d)
     rows = []
     for m in sorted(set(fragment_sizes)):
         deepest = max(ranks[e.stem] for e in common[:m])
@@ -264,7 +270,7 @@ def compare(
         logger.warning("word list has no frequency index; rank analyses skipped")
         return report
 
-    ranks = d.ranks()
+    ranks = rank_of(d)
     common = [e for e in word_list if e.stem in ranks]
     if not common:
         return report

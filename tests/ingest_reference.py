@@ -11,6 +11,11 @@ text. `build_dictionary` is `lexicorp build`'s reading of a corpus file
 through `RawRecord`s. Kept as the oracle that tests/test_ingest.py and
 tests/test_cli.py check the streaming `run_ingest`, the cell reader,
 the heading gate, the byte word count and build's reader against.
+
+The column declarations below are those of `lexicorp.ingest` as they
+were before one `_COLUMNS` table held each column's field name, header,
+tag and kind; tests/test_ingest.py checks the values derived from that
+table against them.
 """
 
 from __future__ import annotations
@@ -28,6 +33,41 @@ from lexicorp.ingest import IngestReport, ParseError, _resolve_header
 from lexicorp.pipeline import process_document
 
 logger = logging.getLogger(__name__)
+
+# Canonical column order of a corpus file.
+FIELD_ORDER = (
+    "authors",
+    "title",
+    "abstract",
+    "categories",
+    "research_areas",
+    "total_times_cited",
+    "times_cited_core",
+)
+
+# Positions in FIELD_ORDER: the cells that ingest and build read, and
+# the list cells (authors, categories, research areas).
+TITLE, ABSTRACT, CATEGORIES = 1, 2, 3
+LIST_CELLS = (0, 3, 4)
+COUNT_FIELDS = ("total_times_cited", "times_cited_core")
+
+# Accepted header spellings, lowercased.
+HEADER_ALIASES = {
+    "au": "authors", "authors": "authors",
+    "ti": "title", "title": "title",
+    "ab": "abstract", "abstract": "abstract",
+    "wc": "categories", "categories": "categories",
+    "sc": "research_areas", "research areas": "research_areas",
+    "research_areas": "research_areas",
+    "z9": "total_times_cited", "total times cited": "total_times_cited",
+    "total_times_cited": "total_times_cited",
+    "tc": "times_cited_core", "times cited in cc": "times_cited_core",
+    "times_cited_core": "times_cited_core",
+}
+
+# The header line of a corpus file: FIELD_ORDER's full names.
+CORPUS_HEADER = ("Authors\tTitle\tAbstract\tCategories\tResearch Areas\t"
+                 "Total Times Cited\tTimes Cited in CC")
 
 _LIST_FIELDS = {"authors", "categories", "research_areas"}
 _INT_FIELDS = {"total_times_cited", "times_cited_core"}

@@ -681,6 +681,15 @@ class TestCompare:
         assert manifest["config_hash"] == "0123abcd4567"
         assert list(manifest["inputs"]) == [str(dict_path), str(wl_path)]
 
+    def test_empty_dictionary_is_input_error(self, tmp_path, capsys):
+        # A fragment of size 0 would follow, a size that --fragments refuses.
+        _, wl_path = self.make_inputs(tmp_path)
+        dict_path, out = tmp_path / "empty.tsv", tmp_path / "c"
+        dct.save(dictionary_of([]), dict_path)
+        assert main(["compare", str(dict_path), str(wl_path), "--out", str(out)]) == 2
+        assert "input error: empty dictionary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_word_list_is_input_error(self, tmp_path):
         dict_path, _ = self.make_inputs(tmp_path)
         empty = tmp_path / "empty.csv"
@@ -877,6 +886,21 @@ class TestDumpConfig:
         reloaded = load_config(out)
         assert reloaded.config_hash() == default_config().config_hash()
 
+    def test_table_bytes_and_printed_paths_pinned(self, tmp_path, capsys):
+        # Written by the dump_config that listed each table by name.
+        out = tmp_path / "cfg"
+        assert main(["dump-config", "--out", str(out)]) == 0
+        names = ["prefixes.txt", "substitutions.tsv", "stopwords.txt", "headings.txt"]
+        assert capsys.readouterr().out.splitlines() == [str(out / n) for n in names]
+        assert {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names} == {
+            "prefixes.txt": "09c7669e1152a93afe8c8215cd277703605e70c209122de4e5c1cdc13b65f4c3",
+            "substitutions.tsv":
+                "d1f93916cd8e17d25b38db38a47fd87554915d6ae3b92e8f109ad6d19105f369",
+            "stopwords.txt": "0d876b7fd3c7d6ab718be03bfdcf38283b214defd91ca5c7a71bd9394da5772d",
+            "headings.txt": "10f9030e1832dbf5ebc237e021fe64d08053c4cf88edc67d2e71ba4c143b919e",
+        }
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+
     def test_failure_on_the_third_table_leaves_no_table(self, tmp_path, monkeypatch, capsys):
         from lexicorp import config
         monkeypatch.setattr(config, "write_lines", fail_on_call(3, config.write_lines))
@@ -884,6 +908,19 @@ class TestDumpConfig:
         assert main(["dump-config", "--out", str(out)]) == 2
         assert "disk full" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest", "x.tsv"], ["stats", "d.tsv"], ["compare", "d.tsv", "wl.csv"], ["dump-config"],
+    ["pipeline", "x.tsv"]])
+def test_out_naming_a_regular_file_is_usage_error(tmp_path, command, capsys):
+    # The inputs do not exist: --out is refused before any file is read.
+    afile = tmp_path / "afile"
+    afile.write_text("x", encoding="utf-8")
+    assert main([*command, "--out", str(afile)]) == 1
+    assert "'--out'" in capsys.readouterr().err
+    assert afile.read_text(encoding="utf-8") == "x"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 class TestPipelineCommand:

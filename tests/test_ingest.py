@@ -53,6 +53,16 @@ def ingest_records(rows, config=CFG):
 HEADER = "AU\tTI\tAB\tWC\tSC\tZ9\tTC\n"
 
 
+def test_column_table_gives_the_old_declarations():
+    assert ingest.FIELD_ORDER == reference.FIELD_ORDER
+    assert (ingest.TITLE, ingest.ABSTRACT, ingest.CATEGORIES) == (
+        reference.TITLE, reference.ABSTRACT, reference.CATEGORIES)
+    assert ingest._LIST_CELLS == reference.LIST_CELLS
+    assert ingest._COUNT_FIELDS == reference.COUNT_FIELDS
+    assert list(ingest._HEADER_ALIASES.items()) == list(reference.HEADER_ALIASES.items())
+    assert ingest.CORPUS_HEADER == reference.CORPUS_HEADER
+
+
 class TestParseRecords:
     def test_two_valid_rows(self):
         text = HEADER + "A, B\tT1\tsome text\tPhys\tSci\t1\t1\nC, D\tT2\tmore text\tBio\tLife\t0\t0\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,3 +193,21 @@ class TestSyntheticCorpus:
         docs = list(ls.gen_synthetic_corpus(30, 7, 1.2, seed=9, doc_len=64))
         assert len(docs) == 7
         assert all(len(tokens) == 64 for tokens in docs)
+
+    def test_first_long_document_draws_a_token_budget(self):
+        # Drawing 1,000 documents of 5,000 tokens at once peaked at 76 MiB.
+        documents = ls.gen_synthetic_corpus(5000, 1000, 1.0, seed=0, doc_len=5000)
+        tracemalloc.start()
+        try:
+            first = next(documents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 5000
+        assert peak < 10 * 2**20, peak
+
+    @pytest.mark.parametrize("budget", [1, 7 * 50 + 3])
+    def test_token_budgets_give_equal_documents(self, monkeypatch, budget):
+        default = list(ls.gen_synthetic_corpus(40, 23, 1.1, seed=6, doc_len=50))
+        monkeypatch.setattr(ls, "_GEN_BLOCK", budget)
+        assert list(ls.gen_synthetic_corpus(40, 23, 1.1, seed=6, doc_len=50)) == default
