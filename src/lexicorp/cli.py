@@ -77,6 +77,8 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out):
     cfg = _load_cfg(config_dir, min_len, max_len)
     with _run(out / "manifest.json", input_path, config_hash=cfg.config_hash()):
         with open(input_path, encoding="utf-8") as f, atomic_open(out / "corpus.tsv") as corpus:
+            if f.buffer.peek(2)[:2] in (b"\xff\xfe", b"\xfe\xff"):  # a UTF-16 byte-order mark
+                raise InputError(f"{input_path}: UTF-16 export; save it as UTF-8")
             lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
         rows = [f"{key}\t{value}" for key, value in vars(report).items()]
         if lengths:

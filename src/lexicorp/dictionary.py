@@ -30,9 +30,9 @@ from .config import InputError
 # Characters `deserialize` reads at a time; each chunk is then extended to
 # the end of its last line. A chunk's bytes, masks and index arrays are
 # freed before the next is read, so the size sets the peak: loading a
-# 300k-row file peaks at 52 MiB RSS with 2**17, 61 MiB with 2**19 and
-# 85 MiB with the whole body at once (Linux x86-64, CPython 3.11, numpy
-# 2.4), and the larger sizes are no faster.
+# 300k-row file peaks at 47 MiB RSS with 2**17, 57 MiB with 2**19 and
+# 82 MiB with the whole body at once (Linux x86-64, CPython 3.11, numpy
+# 2.4), and the larger sizes are no faster; 2**16 peaks at 46 MiB, 4% slower.
 _CHUNK_CHARS = 1 << 17
 # Characters of words, rounded up to whole rows, `serialize` writes at once.
 _CHARS_PER_WRITE = 1 << 16
@@ -134,8 +134,22 @@ def prune(d: Dictionary, threshold: int) -> Dictionary:
     keep = int(np.count_nonzero(d.doc > threshold))
     prov = Provenance(d.provenance.corpus_id, d.provenance.config_hash,
                       max(threshold, d.provenance.threshold))
-    text = "\n".join(d._text.split("\n", keep)[:keep])
+    text = d._text if keep == len(d) else d._text[:_rows_end(d._text, keep)]
     return Dictionary(text, d.doc[:keep], d.corpus[:keep], prov)
+
+
+def _rows_end(text: str, n: int) -> int:
+    """Where the first n "\\n"-joined rows of `text` end (n below their
+    number): at its n-th "\\n", 0 if n is 0. `str.count` skips blocks of
+    2**16 characters, then halves the one holding it: no object per row."""
+    start, width = 0, 1 << 16
+    while (found := text.count("\n", start, start + width)) < n:
+        n, start = n - found, start + width
+    while width > 1:
+        width //= 2
+        if (found := text.count("\n", start, start + width)) < n:
+            n, start = n - found, start + width
+    return start
 
 
 _HEADER_RE = re.compile(
@@ -289,18 +303,17 @@ def _read_body(stream: IO[str]):
     sorted into canonical order if they are not in it.
 
     Each chunk is read by `_parse_chunk` or, if that refuses it, by
-    `_parse_lines`; the rows either reads are appended alike. Repeats are
-    looked for once, by one sort of the hashes of all words: at the end,
-    or at the first bad row, before its error is raised, since a repeat
-    before it comes first.
+    `_parse_lines`; the hashes and counts of either's rows go to one
+    buffer per column, and the counts are returned as views of theirs.
+    Repeats are looked for once, by one sort of the hashes of all words:
+    at the end, or at the first bad row, before its error is raised, since
+    a repeat before it comes first.
     """
     texts: list[str] = []
-    docs: list[np.ndarray] = [np.zeros(0, np.int64)]
-    corpora: list[np.ndarray] = [np.zeros(0, np.int64)]
-    # One buffer: freed, its memory goes back to the system, where an array per chunk would not.
-    hashes = array("q")
+    # One buffer each: freed, its memory goes back to the system; the count buffers become columns.
+    hashes, docs, corpora = array("q"), array("q"), array("q")
     blank_lines: list[int] = []  # the numbers of the blank lines, for a repeat's line number
-    last = ([], docs[0], corpora[0])  # the last row so far, as columns
+    last_word: list[str] = []  # the word of the last row so far, if any
     in_order = True
     line_no, error = 2, None
     while error is None and (chunk := stream.read(_CHUNK_CHARS)):
@@ -319,17 +332,19 @@ def _read_body(stream: IO[str]):
         words = text.split("\n")
         hashes.frombytes(_word_hashes(words).tobytes())
         in_order = in_order and _in_canonical_order(
-            last[0] + words, np.concatenate((last[1], doc)), np.concatenate((last[2], corpus)))
-        last = (words[-1:], doc[-1:], corpus[-1:])
+            last_word + words, np.concatenate((docs[-1:], doc)), np.concatenate((corpora[-1:], corpus)))
+        last_word = words[-1:]
         texts.append(text)
-        docs.append(doc)
-        corpora.append(corpus)
+        docs.frombytes(doc.tobytes())
+        corpora.frombytes(corpus.tobytes())
     _raise_first_repeat(texts, np.frombuffer(hashes, np.int64), blank_lines)
     if error is not None:
         raise error
-    del hashes  # joining the columns while they were held raised peak RSS by 3 MiB
-    columns = "\n".join(texts), np.concatenate(docs), np.concatenate(corpora)
-    return columns if in_order else _canonical(columns[0].split("\n"), *columns[1:])
+    del hashes  # joining the words while the hashes were held raised peak RSS by 3 MiB
+    text = "\n".join(texts)
+    del texts  # before a sort, which splits the text again
+    doc, corpus = np.frombuffer(docs, np.int64), np.frombuffer(corpora, np.int64)
+    return (text, doc, corpus) if in_order else _canonical(text.split("\n"), doc, corpus)
 
 
 def _in_canonical_order(words: list[str], doc: np.ndarray, corpus: np.ndarray) -> bool:

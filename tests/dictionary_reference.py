@@ -9,7 +9,9 @@ against:
 - the histogram that counted doc counts in a dict, row by row;
 - the chunk parser from before the counts and words were read from the
   chunk's bytes: it split the chunk into one string per cell and parsed
-  the counts with `np.array(cells, dtype=np.int64)`.
+  the counts with `np.array(cells, dtype=np.int64)`;
+- the cut `prune` made before it sliced the text at a newline: split off
+  the first rows and joined them again.
 """
 
 from __future__ import annotations
@@ -123,3 +125,9 @@ def parse_chunk(chunk: str):
     if not ((doc >= 1).all() and (corpus >= doc).all()):
         return None
     return cells[0::3], doc, corpus
+
+
+def pruned_text(text: str, keep: int) -> str:
+    """The words of the first `keep` rows of a dictionary whose words are
+    `text`, "\\n"-joined."""
+    return "\n".join(text.split("\n", keep)[:keep])

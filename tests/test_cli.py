@@ -109,6 +109,21 @@ class TestIngest:
         assert ((tmp_path / "bom" / "corpus.tsv").read_bytes()
                 == (tmp_path / "plain" / "corpus.tsv").read_bytes())
 
+    @pytest.mark.parametrize("codec", ["utf-16-le", "utf-16-be"])
+    def test_utf16_export_is_input_error_naming_it(self, export_file, tmp_path, codec, capsys):
+        utf16 = tmp_path / "utf16.tsv"
+        utf16.write_bytes(("\ufeff" + export_file.read_text(encoding="utf-8")).encode(codec))
+        assert main(["ingest", str(utf16), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"input error: {utf16}: UTF-16 export; save it as UTF-8\n"
+        assert not (tmp_path / "out").exists()
+        # A UTF-8 export with a BOM still ingests as the one without.
+        utf8 = tmp_path / "utf8.tsv"
+        utf8.write_bytes(b"\xef\xbb\xbf" + export_file.read_bytes())
+        for src in (export_file, utf8):
+            assert main(["ingest", str(src), "--out", str(tmp_path / src.stem)]) == 0
+        assert ((tmp_path / "utf8" / "corpus.tsv").read_bytes()
+                == (tmp_path / "export" / "corpus.tsv").read_bytes())
+
     def test_crlf_and_lone_cr_export_pins_error_lines(self, tmp_path):
         good = "A\tT\t" + "word " * 40 + "\tP\tS\t0\t0"
         lines = ["AU\tTI\tAB\tWC\tSC\tZ9\tTC", good, "short\trow", good, "",

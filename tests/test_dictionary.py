@@ -673,3 +673,75 @@ def test_deserialize_restores_the_collector_state():
                 assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+def _check_every_threshold(d):
+    """`prune` at every threshold from 0 to one above the largest doc count
+    cuts the text the reference cuts, and keeps a word per kept row.
+    Returns the numbers of rows kept."""
+    kept = []
+    for threshold in range(int(d.doc.max(initial=0)) + 2):
+        pruned = dct.prune(d, threshold)
+        keep = int((d.doc > threshold).sum())
+        assert pruned._text == ref.pruned_text(d._text, keep)
+        assert len(pruned.words()) == len(pruned) == keep
+        kept.append(keep)
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(TOKEN_LISTS)
+def test_prune_cuts_the_text_as_the_reference(token_lists):
+    _check_every_threshold(dct.build(token_lists))
+
+
+@pytest.mark.parametrize("word", [
+    # Words of every width, the top one longer than a 2**16-character block.
+    lambda i: "long" * (1 << 15) if i == 0 else f"w{i}" + "é中\U0001f600"[i % 3] * (i % 11),
+    # 16 characters a row with its newline, so a newline ends every block.
+    lambda i: f"w{i:014d}",
+], ids=["widths", "aligned"])
+def test_prune_cuts_a_text_of_many_blocks_as_the_reference(word):
+    # Row 0 alone at the top and row 1 alone at the bottom, so that the
+    # thresholds keep every row, all but one, one and none.
+    rows = [(word(i), 42 if i == 0 else 1 if i == 1 else 2 + i % 40, 50) for i in range(20_002)]
+    d = dictionary_of(rows)
+    assert {0, 1, len(d) - 1, len(d)} <= set(_check_every_threshold(d))
+
+
+@pytest.fixture(scope="module")
+def paper_shaped(tmp_path_factory):
+    """A canonical dictionary file of 300,000 rows in the shape of LScD: word
+    `w{i:07d}`, doc count `max(1, 10**6 // rank)`, corpus count twice it."""
+    path = tmp_path_factory.mktemp("paper_shaped") / "d.tsv"
+    doc = np.maximum(1, 10**6 // np.arange(1, 300_001))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("#lexicorp-dict v1 threshold=0 config=ci\n")
+        f.writelines(f"w{i:07d}\t{d}\t{2 * d}\n" for i, d in enumerate(doc.tolist()))
+    return path
+
+
+def _traced_peak(make):
+    """What `make()` returns, and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_no_column_twice_at_its_peak(paper_shaped):
+    # The counts go into one buffer per column and the words are joined
+    # once; lists of chunk columns joined at the end peak at 2.03 times.
+    d, peak = _traced_peak(lambda: dct.load(paper_shaped))
+    held = sys.getsizeof(d._text) + d.doc.nbytes + d.corpus.nbytes
+    assert peak < 1.75 * held
+
+
+def test_prune_peaks_at_the_kept_text(paper_shaped):
+    d = dct.load(paper_shaped)
+    pruned, peak = _traced_peak(lambda: dct.prune(d, 10))
+    assert len(pruned) == 90_909
+    # A slice of the text, no string per row; a split and a join peak at 8.2 MiB.
+    assert peak < sys.getsizeof(pruned._text) + (64 << 10)
