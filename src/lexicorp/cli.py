@@ -18,8 +18,8 @@ import click
 
 from . import dictionary, ingest, lexstats, listcompare, manifest
 from .atomic import atomic_open, remove, write_lines
-from .config import PRUNE_THRESHOLD, InputError, PipelineConfig, dump_config, load_config
-from .dictionary import DictionaryFormatError
+from .config import (PRUNE_THRESHOLD, InputError, PipelineConfig, dump_config, load_config,
+                     open_input)
 from .pipeline import process_document
 
 
@@ -76,9 +76,7 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out):
     """Clean a tab-delimited export into a canonical corpus file."""
     cfg = _load_cfg(config_dir, min_len, max_len)
     with _run(out / "manifest.json", input_path, config_hash=cfg.config_hash()):
-        with open(input_path, encoding="utf-8") as f, atomic_open(out / "corpus.tsv") as corpus:
-            if f.buffer.peek(2)[:2] in (b"\xff\xfe", b"\xfe\xff"):  # a UTF-16 byte-order mark
-                raise InputError(f"{input_path}: UTF-16 export; save it as UTF-8")
+        with open_input(input_path, "export") as f, atomic_open(out / "corpus.tsv") as corpus:
             lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
         rows = [f"{key}\t{value}" for key, value in vars(report).items()]
         if lengths:
@@ -106,7 +104,7 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
     def token_lists(records):
         for i, cells in enumerate(records, 1):
             if isinstance(cells, ingest.ParseError):
-                raise DictionaryFormatError(cells.line_no, f"malformed corpus file: {cells.reason}")
+                raise InputError(f"line {cells.line_no}: malformed corpus file: {cells.reason}")
             tokens = process_document(cells[ingest.ABSTRACT], cfg)
             if tokens:
                 yield tokens
@@ -114,7 +112,7 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
                 empty_docs.append(f"record {i}\tno tokens after processing\t{cells[ingest.TITLE]}")
 
     with _run(f"{out_path}.manifest.json", corpus_path, config_hash=cfg.config_hash()) as run:
-        with open(corpus_path, encoding="utf-8") as f:
+        with open_input(corpus_path, "corpus file") as f:
             d = dictionary.build(token_lists(ingest.parse_records(f)),
                                  corpus_id=run["inputs"][str(corpus_path)][:12],
                                  config_hash=cfg.config_hash())
@@ -221,7 +219,7 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out):
         run["config_hash"] = d.provenance.config_hash
         if not len(d):
             raise InputError("empty dictionary")
-        with open(wordlist_path, encoding="utf-8-sig") as f:
+        with open_input(wordlist_path, "word list") as f:
             raw_list = listcompare.read_word_list(f)
         if not len(raw_list):
             raise InputError("empty word list")
@@ -346,7 +344,7 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (OSError, UnicodeDecodeError, InputError) as e:
+    except (OSError, InputError) as e:
         click.echo(f"input error: {e}", err=True)
         return 2
     except (ValueError, ArithmeticError) as e:

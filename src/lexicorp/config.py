@@ -7,11 +7,13 @@ substitutions as "key<TAB>value") and dumped back for auditing.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import tables
 from .atomic import write_lines
@@ -33,6 +35,22 @@ PRUNE_THRESHOLD = 10
 
 class InputError(ValueError):
     """An input file that is readable but unusable (CLI exit code 2)."""
+
+
+@contextlib.contextmanager
+def open_input(path, kind: str) -> Iterator[IO[str]]:
+    """Open the input text file `path`, a `kind` such as "export", as
+    UTF-8, dropping a leading UTF-8 BOM. A UTF-16 file, one whose first two
+    bytes are a byte-order mark or hold a NUL, and a byte that is not UTF-8
+    read in the block raise InputError naming the file."""
+    with open(path, encoding="utf-8-sig") as f:
+        head = f.buffer.peek(2)[:2]
+        if head in (b"\xff\xfe", b"\xfe\xff") or b"\0" in head:
+            raise InputError(f"{path}: UTF-16 {kind}; save it as UTF-8")
+        try:
+            yield f
+        except UnicodeDecodeError as e:  # its position counts from the decoder's chunk
+            raise InputError(f"{path}: not UTF-8 ({e.reason}); save it as UTF-8") from None
 
 
 CONFIG_FILES = {
@@ -104,12 +122,11 @@ def default_config() -> PipelineConfig:
 
 
 def _read_lines(path: Path) -> list[str]:
-    out = []
-    for line in path.read_text(encoding="utf-8-sig").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    """The stripped lines of the table file at `path`, read by `open_input`,
+    less blank lines and "#" comments."""
+    with open_input(path, "rule table") as f:
+        lines = [line.strip() for line in f.read().splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def _read_table(path: Path, name: str) -> tuple:
@@ -132,8 +149,8 @@ def load_config(directory: str | os.PathLike | None = None, **overrides) -> Pipe
     gives the defaults. Keyword overrides (min_len, max_len) are applied
     on top.
     The order of the pipeline steps is fixed (CANONICAL_STEP_ORDER);
-    steps 3-8 run once per distinct token. A table file may start with a
-    UTF-8 BOM; one that fails its check raises InputError naming the file.
+    steps 3-8 run once per distinct token. A table file is read by
+    `open_input`; one that fails its check raises InputError naming the file.
     """
     kwargs = {}
     if directory is not None:

@@ -25,7 +25,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .atomic import atomic_open
-from .config import InputError
+from .config import InputError, open_input
 
 # Characters `deserialize` reads at a time; each chunk is then extended to
 # the end of its last line. A chunk's bytes, masks and index arrays are
@@ -385,8 +385,8 @@ def deserialize(stream: IO[str]) -> Dictionary:
 
 
 def load(path) -> Dictionary:
-    """Read the dictionary file at `path`, which may start with a UTF-8 BOM."""
-    with open(path, encoding="utf-8-sig") as f:
+    """Read the dictionary file at `path` through `open_input`."""
+    with open_input(path, "dictionary") as f:
         return deserialize(f)
 
 

@@ -91,7 +91,7 @@ def parse_records(stream: Iterable[str] | IO[str]) -> Iterator[list[str] | Parse
     first = next(lines, None)
     if first is None:
         raise InputError("no header row")
-    # Windows tools often start UTF-8 exports with a byte-order mark.
+    # A UTF-8 byte-order mark that `open_input` did not drop: a stream passed in.
     cells = first[1].rstrip("\n").rstrip("\r").removeprefix("\ufeff").split("\t")
     columns = _resolve_header(cells)
     expected = len(cells)

@@ -13,7 +13,6 @@ is the only cache of stems: the stemmer keeps none.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import chain
 
 from .config import PipelineConfig, default_config
@@ -30,11 +29,6 @@ _BYTE_PUNCT = bytes(0x20 if c < 0x80 and _PUNCT_RE.match(chr(c)) else c for c in
 _ASCII_BYTES = bytes(range(0x80))
 
 
-@lru_cache(maxsize=None)  # at most one entry per code point
-def _is_punct(char: str) -> bool:
-    return _PUNCT_RE.match(char) is not None
-
-
 def strip_punctuation(text: str) -> str:
     """Replace each non-alphanumeric character other than "-" by a space."""
     # surrogatepass round-trips lone surrogates, which are punctuation.
@@ -43,7 +37,7 @@ def strip_punctuation(text: str) -> str:
     if len(raw) != len(text):  # some character took more than one byte
         rare = raw.translate(None, _ASCII_BYTES).decode("utf-8", "surrogatepass")
         for char in set(rare):
-            if _is_punct(char):
+            if _PUNCT_RE.match(char):
                 out = out.replace(char, " ")
     return out
 

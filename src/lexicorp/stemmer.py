@@ -237,8 +237,6 @@ def _porter2(word):
     if word in _SPECIAL:
         return _SPECIAL[word]
 
-    if not word.isascii():
-        word = word.replace("’", "'").replace("‘", "'").replace("‛", "'")
     if word.startswith("'"):
         word = word[1:]
 

@@ -104,7 +104,7 @@ def test_matches_stemmer_reference_on_alphanumeric_words(word):
 
 
 # A third of the letters are y, so that runs of y test the consonant marking.
-Y_HEAVY = st.text(alphabet=st.sampled_from("yyyyyyyyaeioubcdlnstz'’‘‛"),
+Y_HEAVY = st.text(alphabet=st.sampled_from("yyyyyyyyaeioubcdlnstz'"),
                   min_size=1, max_size=14)
 
 
@@ -152,9 +152,15 @@ def test_matches_both_references_on_every_short_stem_and_rule_suffix():
 
 
 @pytest.mark.parametrize("word", ["yyy", "ayyy", "yay", "sayyid", "buoyancy", "'yes's'",
-                                  "’tis", "boy’s", "generously", "communalism", "arsenals"])
+                                  "generously", "communalism", "arsenals"])
 def test_matches_stemmer_reference_on_edge_words(word):
     assert _porter2(word) == before._porter2(word)
+
+
+@pytest.mark.parametrize("word", ["’tis", "boy’s", "‘cause", "o‛clock"])
+def test_curly_apostrophe_words_pass_through(word):
+    # Non-ASCII, so `stem` returns them before the apostrophe step.
+    assert stem(word) == word
 
 
 @settings(max_examples=1000, deadline=None)
