@@ -78,6 +78,9 @@ def cmd_ingest(input_path, config_dir, min_len, max_len, out):
     with _run(out / "manifest.json", input_path, config_hash=cfg.config_hash()):
         with open_input(input_path, "export") as f, atomic_open(out / "corpus.tsv") as corpus:
             lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
+        if errors and not report.n_parsed:
+            raise InputError(f"{input_path}: no record parsed; line {errors[0].line_no}: "
+                             f"{errors[0].reason}")
         rows = [f"{key}\t{value}" for key, value in vars(report).items()]
         if lengths:
             mean = sum(n * k for n, k in lengths.items()) / report.n_after_length_filter
@@ -101,7 +104,8 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
     cfg = _load_cfg(config_dir, **bounds)
     empty_docs = []
 
-    def token_lists(records):
+    def token_lists(records, metrics):
+        i = 0
         for i, cells in enumerate(records, 1):
             if isinstance(cells, ingest.ParseError):
                 raise InputError(f"line {cells.line_no}: malformed corpus file: {cells.reason}")
@@ -110,12 +114,16 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
                 yield tokens
             else:
                 empty_docs.append(f"record {i}\tno tokens after processing\t{cells[ingest.TITLE]}")
+        # The memo is freed before `build` sorts; a library caller's config keeps its own.
+        metrics.update(documents=i, memo_entries=len(vars(cfg).pop("_token_memo", ())))
 
     with _run(f"{out_path}.manifest.json", corpus_path, config_hash=cfg.config_hash()) as run:
         with open_input(corpus_path, "corpus file") as f:
-            d = dictionary.build(token_lists(ingest.parse_records(f)),
+            d = dictionary.build(token_lists(ingest.parse_records(f), run["metrics"]),
                                  corpus_id=run["inputs"][str(corpus_path)][:12],
                                  config_hash=cfg.config_hash())
+        run["metrics"].update(empty_documents=len(empty_docs), tokens_out=int(d.corpus.sum()),
+                              entries_built=len(d))
         dictionary.save(d, out_path)
         _write_log(f"{out_path}.skipped.log", empty_docs, "document(s) produced no tokens")
     click.echo(f"{len(d)} words written to {out_path}")

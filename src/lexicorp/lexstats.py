@@ -127,14 +127,8 @@ def fit_pareto(curve: TailCurve, fit_range=None) -> ParetoFit:
         if abs(alpha - edge) < 1e-9:
             raise ValueError(f"fitted alpha hit the search bracket edge {edge:g}")
     beta, mse = beta_mse(alpha)
-    return ParetoFit(
-        alpha=alpha,
-        beta=beta,
-        mse=mse,
-        fit_range=(float(xs.min()), float(xs.max())),
-        x_m=float(xs.min()),
-        n_points=len(xs),
-    )
+    lo, hi = float(xs.min()), float(xs.max())
+    return ParetoFit(alpha=alpha, beta=beta, mse=mse, fit_range=(lo, hi), x_m=lo, n_points=len(xs))
 
 
 # Tokens `gen_synthetic_corpus` draws at a time, so its memory is flat in n_docs and doc_len.

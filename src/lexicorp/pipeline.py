@@ -7,13 +7,13 @@ then split on whitespace; no later step looks across whitespace, so
 steps 3-8 run once per distinct token and config, memoised. Steps 3-6
 are one plain pass over the token: no regular expression. The pieces
 that a hyphenated token splits into are entries of the same memo, which
-is the only cache of stems: the stemmer keeps none.
+is the only cache of stems: the stemmer keeps none. A memo value is a
+stem, or a tuple of zero or several.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
 
 from .config import PipelineConfig, default_config
 from .stemmer import stem
@@ -42,10 +42,22 @@ def strip_punctuation(text: str) -> str:
     return out
 
 
+def _flatten(values) -> list[str]:
+    """The stems of a run of memo values, in order."""
+    out = []
+    for v in values:
+        if v.__class__ is str:
+            out.append(v)
+        else:
+            out += v
+    return out
+
+
 class _TokenMemo(dict):
-    """Token -> its tokens after steps 3-8; misses fill it. The keys are
-    lowercased tokens and the pieces of those with a "-" (upper case
-    from a substitution value included; the stemmer lowercases it)."""
+    """Token -> its stem after steps 3-8, or a tuple of zero or several;
+    misses fill it. The keys are lowercased tokens and the pieces of those
+    with a "-" (upper case from a substitution value included; the stemmer
+    lowercases it)."""
 
     def __init__(self, config: PipelineConfig):
         super().__init__()
@@ -76,19 +88,20 @@ class _TokenMemo(dict):
         text = "\u0307".join(runs)
         return [p for p in text.replace("-", " ").split() if not p.isdecimal()]
 
-    def __missing__(self, token: str) -> tuple[str, ...]:
+    def __missing__(self, token: str) -> str | tuple[str, ...]:
         # Without a "-", steps 3-6 can only drop a pure number: uniting
         # needs "<prefix>-" and PipelineConfig rejects substitution keys
         # without "-".
         if "-" in token:
             # A piece holds no "-" and no whitespace, so its own entry is
             # filled by the branches below: the recursion is one level deep.
-            out = tuple(chain.from_iterable(map(self.__getitem__, self._text_steps(token))))
+            words = _flatten(map(self.__getitem__, self._text_steps(token)))
+            out = words[0] if len(words) == 1 else tuple(words)
         elif token.isdecimal():
             out = ()
         else:
             word = stem(token)
-            out = () if word in self.stop_set else (word,)
+            out = () if word in self.stop_set else word
         self[token] = out
         return out
 
@@ -109,5 +122,4 @@ def process_document(abstract: str, config: PipelineConfig | None = None) -> lis
     legal and left for the caller to flag.
     """
     memo = _token_memo(config or default_config())
-    tokens = strip_punctuation(abstract).lower().split()
-    return list(chain.from_iterable(map(memo.__getitem__, tokens)))
+    return _flatten(map(memo.__getitem__, strip_punctuation(abstract).lower().split()))

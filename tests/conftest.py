@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,16 @@ TESTS_DIR = Path(__file__).parent
 DATA_DIR = TESTS_DIR / "data"
 
 sys.path.insert(0, str(TESTS_DIR))
+
+
+@cache
+def perfbench_inputs():
+    """`perfbench/inputs.py`, which makes the benchmark's inputs, as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  TESTS_DIR.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def dictionary_of(rows, provenance=dct.Provenance()):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -16,14 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexicorp
-from conftest import dictionary_of, rows_of
-from lexicorp import cli
+from conftest import DATA_DIR, dictionary_of, perfbench_inputs, rows_of
+from lexicorp import cli, pipeline
 from lexicorp import dictionary as dct
 from lexicorp import lexstats
 from lexicorp.cli import main
 from lexicorp.config import InputError, default_config, load_config
 from lexicorp.ingest import _COUNT_FIELDS, _HEADER_ALIASES, CORPUS_HEADER
 from lexicorp.manifest import file_digest
+from lexicorp.pipeline import process_document
 
 
 def read(path):
@@ -1011,6 +1013,75 @@ class TestPipelineCommand:
         assert main(["pipeline", str(export_file), "--threshold", "0", "--out", str(out)]) == 0
         assert main(["build", str(out / "corpus.tsv"), "--out", str(tmp_path / "d.tsv")]) == 0
         assert read(out / "dictionary.tsv") == read(tmp_path / "d.tsv")
+
+
+class TestRunMetrics:
+    """The "metrics" block of the manifests."""
+
+    def build(self, tmp_path, abstracts):
+        """Build `tmp_path/d.tsv` from a corpus file of `abstracts`."""
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("".join(f"{line}\n" for line in [CORPUS_HEADER, *(
+            f"A\tT{i}\t{text}\tP\tS\t0\t0" for i, text in enumerate(abstracts))]),
+            encoding="utf-8")
+        assert main(["build", str(corpus), "--out", str(tmp_path / "d.tsv")]) == 0
+
+    def build_metrics(self, tmp_path, abstracts):
+        self.build(tmp_path, abstracts)
+        return json.loads(read(tmp_path / "d.tsv.manifest.json"))["metrics"]
+
+    def test_build_counts_by_hand(self, tmp_path):
+        metrics = self.build_metrics(tmp_path, [
+            "Models of the model-studies 42", "the and or", "Studies 2014"])
+        # Memo keys: models, of, the, model-studies, model, studies, 42, and, or, 2014.
+        assert {k: v for k, v in metrics.items() if k not in ("wall_s", "process_peak_rss_mib")} == {
+            "documents": 3, "empty_documents": 1, "tokens_out": 4, "memo_entries": 10,
+            "entries_built": 2}
+        assert read(tmp_path / "d.tsv").split("\n")[1:] == ["studi\t2\t2", "model\t1\t2", ""]
+
+    def test_every_command_records_its_wall_time_and_the_process_peak(self, tmp_path,
+                                                                      export_file):
+        out = tmp_path / "run"
+        assert main(["pipeline", str(export_file), "--threshold", "0", "--out", str(out)]) == 0
+        manifests = [json.loads(read(p)) for p in sorted(out.rglob("*manifest.json"))]
+        assert len(manifests) == 4
+        for m in manifests:
+            assert list(m)[-1] == "metrics"
+            assert 0 <= m["metrics"]["wall_s"] < 60
+            assert m["metrics"]["process_peak_rss_mib"] > 1
+
+    def test_build_counts_on_the_english_abstracts_export(self, tmp_path):
+        export = tmp_path / "export.tsv"
+        export.write_bytes(perfbench_inputs().english_abstracts(7, DATA_DIR / "stem_vocab.tsv"))
+        assert main(["pipeline", str(export), "--out", str(tmp_path / "run")]) == 0
+        metrics = json.loads(read(tmp_path / "run" / "dictionary.tsv.manifest.json"))["metrics"]
+        assert {k: metrics[k] for k in ("documents", "tokens_out", "memo_entries",
+                                        "entries_built")} == {
+            "documents": 9450, "tokens_out": 1_015_045, "memo_entries": 77_262,
+            "entries_built": 27_286}
+
+    def test_build_frees_its_memo_before_the_sort(self, tmp_path, monkeypatch):
+        # A library caller's memo, which the command must leave alone.
+        assert process_document("Library research") == ["librari", "research"]
+        library_memo = pipeline._token_memo(default_config())
+
+        def memos():
+            return [o for o in gc.get_objects() if isinstance(o, pipeline._TokenMemo) and o]
+
+        before = memos()
+        alive = []  # per call of the sort, the memos made since `before`
+        canonical = dct._canonical
+
+        def checked_canonical(*args):
+            alive.append([m for m in memos() if not any(m is b for b in before)])
+            return canonical(*args)
+
+        monkeypatch.setattr(dct, "_canonical", checked_canonical)
+        self.build(tmp_path, ["Models of the model-studies 42"])
+        assert alive == [[]]
+        assert process_document("Library data") == ["librari", "data"]
+        assert pipeline._token_memo(default_config()) is library_memo
+        assert {"library", "research", "data"} <= library_memo.keys()
 
 
 # What pipeline's peak RSS may gain at 16 times the documents over the same

@@ -5,11 +5,9 @@ and makes no `--out` directory. The files are made from well-formed rows
 of the english-abstracts export that `perfbench/inputs.py` generates.
 """
 
-import importlib.util
-
 import pytest
 
-from conftest import DATA_DIR, TESTS_DIR
+from conftest import DATA_DIR, perfbench_inputs
 from lexicorp.cli import main
 
 ROWS = 2_000
@@ -52,11 +50,7 @@ KINDS = {
 
 def _english_abstracts():
     """The english-abstracts export of seed 7, as text with CRLF lines."""
-    spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                                  TESTS_DIR.parent / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs.english_abstracts(7, DATA_DIR / "stem_vocab.tsv").decode()
+    return perfbench_inputs().english_abstracts(7, DATA_DIR / "stem_vocab.tsv").decode()
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +154,25 @@ def test_export_shape_gives_its_twins_outputs(shape, export_rows, tmp_path):
     for name in ("twin", "shape"):
         assert _run(["ingest", tmp_path / f"{name}.tsv", "--out", tmp_path / name]) == 0
     assert _outputs(tmp_path / "shape") == _outputs(tmp_path / "twin")
+
+
+def test_export_whose_every_record_row_is_malformed_is_refused(export_rows, tmp_path, capsys):
+    # Each record row ends in a tab, the header does not: every row has one
+    # cell too many, so no record parses and the export is refused.
+    header, rows = export_rows
+    text = "\t".join(header) + "\r\n" + _export(header, rows, end="\t").split("\r\n", 1)[1]
+    src = tmp_path / "export.tsv"
+    src.write_text(text, encoding="utf-8", newline="")
+    for command in ("ingest", "pipeline"):
+        out = tmp_path / command
+        assert _run([command, src, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {src}: no record parsed; line 2: expected 10 columns, got 11\n")
+        assert not out.exists()
+    # One good row among them: it is kept and the others are skipped, as before.
+    src.write_text(_export(header, rows[:1]) + text.split("\r\n", 2)[2], encoding="utf-8",
+                   newline="")
+    assert _run(["ingest", src, "--out", tmp_path / "one"]) == 0
+    assert "n_parsed\t1\n" in (tmp_path / "one" / "ingest_report.tsv").read_text(encoding="utf-8")
+    log = (tmp_path / "one" / "ingest_errors.log").read_text(encoding="utf-8").splitlines()
+    assert len(log) == ROWS - 1 and log[0] == "line 3\texpected 10 columns, got 11"
