@@ -20,7 +20,7 @@ from . import dictionary, ingest, lexstats, listcompare, manifest
 from .atomic import atomic_open, remove, write_lines
 from .config import (PRUNE_THRESHOLD, InputError, PipelineConfig, dump_config, load_config,
                      open_input)
-from .pipeline import process_document
+from .pipeline import process_document, release_memo
 
 
 def _load_cfg(config_dir, min_len=PipelineConfig.min_len, max_len=PipelineConfig.max_len):
@@ -75,9 +75,10 @@ def cli():
 def cmd_ingest(input_path, config_dir, min_len, max_len, out):
     """Clean a tab-delimited export into a canonical corpus file."""
     cfg = _load_cfg(config_dir, min_len, max_len)
-    with _run(out / "manifest.json", input_path, config_hash=cfg.config_hash()):
+    with _run(out / "manifest.json", input_path, config_hash=cfg.config_hash()) as run:
         with open_input(input_path, "export") as f, atomic_open(out / "corpus.tsv") as corpus:
             lengths, report, errors = ingest.run_ingest(f, corpus, cfg)
+        run["metrics"].update(vars(report), parse_errors=len(errors))
         if errors and not report.n_parsed:
             raise InputError(f"{input_path}: no record parsed; line {errors[0].line_no}: "
                              f"{errors[0].reason}")
@@ -115,7 +116,7 @@ def cmd_build(corpus_path, config_dir, out_path, **bounds):
             else:
                 empty_docs.append(f"record {i}\tno tokens after processing\t{cells[ingest.TITLE]}")
         # The memo is freed before `build` sorts; a library caller's config keeps its own.
-        metrics.update(documents=i, memo_entries=len(vars(cfg).pop("_token_memo", ())))
+        metrics.update(documents=i, memo_entries=release_memo(cfg))
 
     with _run(f"{out_path}.manifest.json", corpus_path, config_hash=cfg.config_hash()) as run:
         with open_input(corpus_path, "corpus file") as f:
@@ -139,6 +140,7 @@ def cmd_prune(dict_path, threshold, out_path):
         d = dictionary.load(dict_path)
         run["config_hash"] = d.provenance.config_hash
         pruned = dictionary.prune(d, threshold)
+        run["metrics"].update(entries_loaded=len(d), entries_kept=len(pruned))
         dictionary.save(pruned, out_path)
     click.echo(f"{len(d)} -> {len(pruned)} words (threshold {threshold})")
 
@@ -173,9 +175,10 @@ def cmd_stats(dict_path, fit_range, out):
         hist = lexstats.histogram(d)
         cum = lexstats.cumulative(hist)
         tail = lexstats.tail(hist)
+        run["metrics"].update(entries_loaded=len(d), tail_points=len(tail.points))
 
         write_lines(out / "histogram.csv",
-                    ["documents,words", *(f"{n},{hist.counts[n]}" for n in sorted(hist.counts))])
+                    ["documents,words", *(f"{n},{hist[n]}" for n in sorted(hist))])
         write_lines(out / "cumulative.csv",
                     ["documents,words_at_or_below", *(f"{n},{g}" for n, g in cum)])
 
@@ -233,6 +236,8 @@ def cmd_compare(dict_path, wordlist_path, widths, tops, fragments, out):
             raise InputError("empty word list")
         stemmed = listcompare.stem_merge(raw_list)
         report = listcompare.compare(d, stemmed, widths=widths, tops=tops, fragment_ks=fragments)
+        run["metrics"].update(entries_loaded=len(d), stems=report.n_stems,
+                              common_words=len(report.common_words))
         _write_comparison(report, out)
     click.echo(f"coverage {report.coverage_count}/{report.n_stems} "
                f"({report.coverage_pct:.1%})")

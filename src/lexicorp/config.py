@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 from typing import IO, Iterator
@@ -95,6 +95,10 @@ class PipelineConfig:
                 raise ValueError(f"heading entry expands to an empty form: {h!r}")
         if self.min_len > self.max_len:
             raise ValueError("min_len must not exceed max_len")
+
+    def __getstate__(self) -> dict:
+        # A copy or a pickle holds the six fields, not the token memo of `pipeline`.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def heading_forms(self) -> tuple[str, ...]:

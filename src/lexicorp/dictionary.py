@@ -81,13 +81,6 @@ class Dictionary:
     def __len__(self) -> int:
         return len(self.doc)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Dictionary)
-                and self._text == other._text
-                and np.array_equal(self.doc, other.doc)
-                and np.array_equal(self.corpus, other.corpus)
-                and self.provenance == other.provenance)
-
     def words(self) -> list[str]:
         return self._text.split("\n") if self._text else []
 

@@ -163,24 +163,6 @@ def split_concatenated_headings(text: str, headings) -> tuple[str, int]:
     return pattern.subn(r"\1 ", text)
 
 
-# ASCII whitespace, as str.split() splits on it ("\x1c"-"\x1f" included),
-# to a space; every other byte to "x".
-_WORD_MARKS = "".join(" " if c.isascii() and c.isspace() else "x"
-                      for c in map(chr, range(256))).encode("latin-1")
-
-
-def word_count(text: str) -> int:
-    """Number of maximal non-whitespace runs in `text`, as `len(text.split())`.
-
-    An ASCII text is counted on its bytes: one word starts at each
-    non-space byte that begins the text or follows a space.
-    """
-    if not text.isascii():
-        return len(text.split())
-    marks = text.encode("ascii").translate(_WORD_MARKS)
-    return marks.count(b" x") + marks.startswith(b"x")
-
-
 def run_ingest(
     stream: Iterable[str] | IO[str],
     out: IO[str],
@@ -217,7 +199,7 @@ def run_ingest(
                     crowded.append(cells[TITLE][:40])
             cells[ABSTRACT], n_splits = split_concatenated_headings(cells[ABSTRACT], forms)
             report.n_headings_split += n_splits
-            n_words = word_count(cells[ABSTRACT])
+            n_words = len(cells[ABSTRACT].split())
             if config.min_len <= n_words <= config.max_len:
                 lengths[n_words] = lengths.get(n_words, 0) + 1
                 yield cells

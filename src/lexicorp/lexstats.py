@@ -19,14 +19,6 @@ from .dictionary import Dictionary
 
 
 @dataclass(frozen=True)
-class DocFreqHistogram:
-    """counts[n] = number of words contained in exactly n documents."""
-
-    counts: dict[int, int]
-    total_words: int
-
-
-@dataclass(frozen=True)
 class TailCurve:
     """points[i] = (x, number of words with doc_count > x), x ascending."""
 
@@ -43,25 +35,26 @@ class ParetoFit:
     n_points: int
 
 
-def histogram(d: Dictionary) -> DocFreqHistogram:
+def histogram(d: Dictionary) -> dict[int, int]:
+    """{n: number of words contained in exactly n documents}."""
     values, counts = np.unique(d.doc, return_counts=True)
-    return DocFreqHistogram(dict(zip(values.tolist(), counts.tolist())), len(d))
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
-def cumulative(hist: DocFreqHistogram) -> list[tuple[int, int]]:
+def cumulative(hist: dict[int, int]) -> list[tuple[int, int]]:
     """g(n) = number of words contained in n or fewer documents."""
     out = []
     running = 0
-    for n in sorted(hist.counts):
-        running += hist.counts[n]
+    for n in sorted(hist):
+        running += hist[n]
         out.append((n, running))
     return out
 
 
-def tail(hist: DocFreqHistogram) -> TailCurve:
+def tail(hist: dict[int, int]) -> TailCurve:
     """The complement W - g(x) at every distinct document count x."""
-    points = [(n, hist.total_words - g) for n, g in cumulative(hist)]
-    return TailCurve(tuple(points))
+    total = sum(hist.values())
+    return TailCurve(tuple((n, total - g) for n, g in cumulative(hist)))
 
 
 def _usable_points(curve: TailCurve, fit_range=None) -> tuple[np.ndarray, np.ndarray]:

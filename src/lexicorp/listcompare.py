@@ -80,8 +80,8 @@ def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
         rest = [c.strip() for c in row[1:]]
         if first:
             first = False
-            looks_numeric = any(_parse_float(c) is not None for c in rest if c)
-            if (rest and not looks_numeric) or head in ("headword", "word", "lemma"):
+            looks_numeric = any(_parse_float(c) is not None for c in rest)
+            if (any(rest) and not looks_numeric) or head in ("headword", "word", "lemma"):
                 continue  # header row
         values = []
         for i, column in enumerate(("sfi", "u", "d")):
@@ -103,9 +103,6 @@ def read_word_list(stream: IO[str]) -> tuple[WordListEntry, ...]:
 
 
 def _parse_float(s: str) -> float | None:
-    s = s.strip()
-    if not s:
-        return None
     try:
         return float(s)
     except ValueError:

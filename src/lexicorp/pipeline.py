@@ -115,6 +115,11 @@ def _token_memo(config: PipelineConfig) -> _TokenMemo:
     return memo
 
 
+def release_memo(config: PipelineConfig) -> int:
+    """Drop the token memo kept on `config`; returns the number of entries freed."""
+    return len(vars(config).pop("_token_memo", ()))
+
+
 def process_document(abstract: str, config: PipelineConfig | None = None) -> list[str]:
     """Run the full pipeline on one abstract and return its token list.
 

@@ -15,13 +15,14 @@ sys.path.insert(0, str(TESTS_DIR))
 
 
 @cache
-def perfbench_inputs():
-    """`perfbench/inputs.py`, which makes the benchmark's inputs, as a module."""
-    spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                                  TESTS_DIR.parent / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
+def perfbench_module(name):
+    """`perfbench/<name>.py` as a module: "inputs" makes the benchmark's
+    inputs, "tracer" names the functions a traced run wraps."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  TESTS_DIR.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def dictionary_of(rows, provenance=dct.Provenance()):
@@ -40,6 +41,11 @@ def dictionary_of(rows, provenance=dct.Provenance()):
 def rows_of(d):
     """The (word, doc, corpus) rows of `d` in canonical order."""
     return list(zip(d.words(), d.doc.tolist(), d.corpus.tolist()))
+
+
+def contents(d):
+    """The rows and the provenance of `d`: what two equal dictionaries share."""
+    return rows_of(d), d.provenance
 
 
 @pytest.fixture(scope="session")

@@ -126,7 +126,7 @@ def test_criterion_3_count_oracle():
         hist = ls.histogram(d)
         for threshold in (0, 1, 5, 10):
             removed = len(d) - len(dct.prune(d, threshold))
-            expected = sum(c for n, c in hist.counts.items() if n <= threshold)
+            expected = sum(c for n, c in hist.items() if n <= threshold)
             assert removed == expected, f"threshold {threshold}"
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexicorp
-from conftest import DATA_DIR, dictionary_of, perfbench_inputs, rows_of
+from conftest import DATA_DIR, dictionary_of, perfbench_module, rows_of
 from lexicorp import cli, pipeline
 from lexicorp import dictionary as dct
 from lexicorp import lexstats
@@ -1052,13 +1052,50 @@ class TestRunMetrics:
 
     def test_build_counts_on_the_english_abstracts_export(self, tmp_path):
         export = tmp_path / "export.tsv"
-        export.write_bytes(perfbench_inputs().english_abstracts(7, DATA_DIR / "stem_vocab.tsv"))
+        inputs = perfbench_module("inputs")
+        export.write_bytes(inputs.english_abstracts(7, DATA_DIR / "stem_vocab.tsv"))
         assert main(["pipeline", str(export), "--out", str(tmp_path / "run")]) == 0
         metrics = json.loads(read(tmp_path / "run" / "dictionary.tsv.manifest.json"))["metrics"]
         assert {k: metrics[k] for k in ("documents", "tokens_out", "memo_entries",
                                         "entries_built")} == {
             "documents": 9450, "tokens_out": 1_015_045, "memo_entries": 77_262,
             "entries_built": 27_286}
+
+    def test_ingest_counts_on_the_english_abstracts_export(self, tmp_path):
+        export = tmp_path / "export.tsv"
+        inputs = perfbench_module("inputs")
+        export.write_bytes(inputs.english_abstracts(7, DATA_DIR / "stem_vocab.tsv"))
+        assert main(["ingest", str(export), "--out", str(tmp_path / "run")]) == 0
+        metrics = json.loads(read(tmp_path / "run" / "manifest.json"))["metrics"]
+        assert {k: metrics[k] for k in ("n_parsed", "parse_errors", "n_after_length_filter",
+                                        "n_headings_split")} == {
+            "n_parsed": 9950, "parse_errors": 50, "n_after_length_filter": 9450,
+            "n_headings_split": 12330}
+        report = read(tmp_path / "run" / "ingest_report.tsv").splitlines()
+        assert [line.split("\t") for line in report[:4]] == [
+            [k, str(metrics[k])] for k in ("n_parsed", "n_after_field_filter",
+                                           "n_after_length_filter", "n_headings_split")]
+
+    def test_analyse_counts(self, tmp_path):
+        inputs = perfbench_module("inputs")
+        dictionary, word_list = inputs.analyse_inputs(7, DATA_DIR / "stem_vocab.tsv")
+        (tmp_path / "d.tsv").write_bytes(dictionary)
+        (tmp_path / "nawl.csv").write_bytes(word_list)
+        pruned = str(tmp_path / "pruned.tsv")
+        assert main(["prune", str(tmp_path / "d.tsv"), "--out", pruned]) == 0
+        assert main(["stats", pruned, "--out", str(tmp_path / "stats")]) == 0
+        assert main(["compare", pruned, str(tmp_path / "nawl.csv"),
+                     "--out", str(tmp_path / "cmp")]) == 0
+        counts = {name: {k: v for k, v in json.loads(read(path))["metrics"].items()
+                         if k not in ("wall_s", "process_peak_rss_mib")}
+                  for name, path in (("prune", f"{pruned}.manifest.json"),
+                                     ("stats", tmp_path / "stats" / "manifest.json"),
+                                     ("compare", tmp_path / "cmp" / "manifest.json"))}
+        assert counts == {
+            "prune": {"entries_loaded": 300_000, "entries_kept": 27_129},
+            "stats": {"entries_loaded": 27_129, "tail_points": 977},
+            "compare": {"entries_loaded": 27_129, "stems": 2350, "common_words": 2100}}
+        assert json.loads(read(tmp_path / "cmp" / "summary.json"))["stems"] == 2350
 
     def test_build_frees_its_memo_before_the_sort(self, tmp_path, monkeypatch):
         # A library caller's memo, which the command must leave alone.

@@ -237,15 +237,20 @@ class TestSplitHeadings:
 
 
 class TestWordCount:
+    # The length filter counts an abstract's words as str.split() does. An
+    # abstract of no words is dropped earlier, by the field filter.
     @pytest.mark.parametrize("text,expected", [
         ("Tau Reduction Diminishes", 3),
         ("z-score  test", 2),
-        ("", 0),
-        ("  ", 0),
         ("one", 1),
+        ("a\x1fb\x0bc\x0cd", 4),  # ASCII separators that str.split() splits on
+        ("é\xa0ß\u3000x\x85y", 4),  # and Unicode spaces
     ])
     def test_counts(self, text, expected):
-        assert ingest.word_count(text) == expected
+        for n, kept in ((expected - 1, False), (expected, True), (expected + 1, False)):
+            docs, _, lengths = ingest_records([row(abstract=text, categories="C")],
+                                              PipelineConfig(min_len=n, max_len=n))
+            assert (len(docs), lengths) == ((1, {n: 1}) if kept else (0, {}))
 
 
 ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
@@ -268,16 +273,6 @@ FORM_TUPLES = st.one_of(
 def test_gated_split_matches_the_regex_split(text, forms):
     assert (ingest.split_concatenated_headings(text, forms)
             == reference.split_concatenated_headings(text, forms))
-
-
-@settings(max_examples=1000, deadline=None)
-@given(text=st.one_of(
-    st.text(st.characters(max_codepoint=127)),
-    st.text(st.sampled_from(ASCII_SPACE + "ab")),
-    st.text(st.sampled_from(TEXT_CHARS)),
-))
-def test_word_count_matches_split(text):
-    assert ingest.word_count(text) == reference.word_count(text)
 
 
 class TestFilterByLength:

@@ -7,7 +7,7 @@ of the english-abstracts export that `perfbench/inputs.py` generates.
 
 import pytest
 
-from conftest import DATA_DIR, perfbench_inputs
+from conftest import DATA_DIR, perfbench_module
 from lexicorp.cli import main
 
 ROWS = 2_000
@@ -50,7 +50,7 @@ KINDS = {
 
 def _english_abstracts():
     """The english-abstracts export of seed 7, as text with CRLF lines."""
-    return perfbench_inputs().english_abstracts(7, DATA_DIR / "stem_vocab.tsv").decode()
+    return perfbench_module("inputs").english_abstracts(7, DATA_DIR / "stem_vocab.tsv").decode()
 
 
 @pytest.fixture(scope="module")

@@ -117,6 +117,14 @@ class TestReadWordList:
         wl = lc.read_word_list(io.StringIO("word\nfoo\nbar\n"))
         assert len(wl) == 2 and all(e.sfi is None for e in wl)
 
+    @pytest.mark.parametrize("first,header", [
+        ("analyse,", False), ("analyse, ,", False), ("analyse", False),
+        ("Headword,", True), ("lemma,,", True), ("term,sfi", True), ("term,sfi,", True)])
+    def test_first_row_is_a_header_only_by_its_name_or_a_text_cell(self, first, header):
+        wl = lc.read_word_list(io.StringIO(first + "\nbenefit,3.2\n"))
+        entries = () if header else (lc.WordListEntry("analyse"),)
+        assert wl == entries + (lc.WordListEntry("benefit", 3.2),)
+
     @pytest.mark.parametrize("text,where", [
         ("foo,nan\n", "row 1: sfi 'nan'"),
         ("foo,50\nbar,NaN,1,0.5\n", "row 2: sfi 'NaN'"),

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipeline_reference as ref
-from conftest import perfbench_inputs
+from conftest import perfbench_module
 from lexicorp import pipeline as pl
 from lexicorp import tables
 from lexicorp.config import PipelineConfig, default_config, dump_config, load_config
@@ -347,7 +350,7 @@ MEMO_BYTES_PER_ENTRY = 155
 
 
 def test_memo_bytes_per_entry():
-    words = perfbench_inputs()._pseudo_words(np.random.default_rng(3), 50_000)
+    words = perfbench_module("inputs")._pseudo_words(np.random.default_rng(3), 50_000)
     text = " ".join(words)
     cfg = PipelineConfig()  # a memo of its own
     tracemalloc.start()
@@ -367,6 +370,31 @@ def test_memo_is_per_config(custom_config):
     for _ in range(2):
         assert pl.process_document(text, custom_config) == ["gigawatt", "megawatt", "antivir"]
         assert pl.process_document(text) == ["giga", "watt", "mega", "watt", "antivir"]
+
+
+def test_release_memo_counts_the_entries_it_frees():
+    cfg = PipelineConfig()  # a memo of its own
+    assert pl.release_memo(cfg) == 0
+    assert pl.process_document("Models of the model-studies 42", cfg) == ["model", "model", "studi"]
+    # models, of, the, model-studies, model, studies, 42
+    assert pl.release_memo(cfg) == 7
+    assert "_token_memo" not in vars(cfg) and pl.release_memo(cfg) == 0
+    assert pl.process_document("Models", cfg) == ["model"]
+
+
+def test_copies_and_pickles_of_a_config_hold_its_fields_not_its_memo():
+    cfg = PipelineConfig(min_len=5)
+    fresh_size = len(pickle.dumps(cfg))
+    for i in range(2000):
+        pl.process_document(f"Tau{i} binds model-{i} research", cfg)
+    assert len(pl._token_memo(cfg)) > 4000
+    assert len(pickle.dumps(cfg)) == fresh_size
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    for other in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg)):
+        assert vars(other) == fields
+        assert other == cfg and other.config_hash() == cfg.config_hash()
+        assert pl.process_document("Novel words", other) == ["novel", "word"]
+    assert "novel" not in pl._token_memo(cfg)
 
 
 @settings(max_examples=300, deadline=None)
